@@ -5,8 +5,8 @@ appends delta snapshots to its own op-log file with a single
 ``O_APPEND`` write, so a crash leaves at worst one torn tail line that
 the reader skips.  This gate proves the whole post-mortem story:
 
-1. start a sharded campaign with ``--live`` (workqueue backend, shard
-   cache) in its own process group;
+1. start a sharded campaign with ``--live`` (shard cache) in its own
+   process group;
 2. wait until at least two shards are durably committed, then SIGKILL
    the *entire group* — coordinator and workers alike, mid-shard;
 3. run ``repro monitor <run-dir> --once`` against the dead run: the
@@ -53,8 +53,6 @@ def _megafleet_cmd(cache_dir: str, *extra: str) -> list:
         str(SHARDS),
         "--workers",
         str(WORKERS),
-        "--executor",
-        "workqueue",
         "--cache",
         cache_dir,
         "--live",

@@ -1,12 +1,11 @@
 """Resume smoke — kill -9 a running mega-fleet, resume, same bits.
 
-The durability contract of the ``workqueue`` backend: every completed
+The durability contract of the work-queue executor: every completed
 shard is committed to the cache directory (atomic tmp+rename) *before*
 the worker acknowledges it, so no acknowledged work can ever be lost.
 This gate proves the contract the blunt way:
 
-1. start a sharded campaign (workqueue backend, shard cache) in its own
-   process group;
+1. start a sharded campaign (shard cache) in its own process group;
 2. wait until at least two shards are durably committed, then SIGKILL
    the *entire group* — coordinator and workers alike, mid-shard;
 3. restart the identical campaign against the same cache with
@@ -51,8 +50,6 @@ def _megafleet_cmd(cache_dir: str, *extra: str) -> list:
         str(SHARDS),
         "--workers",
         str(WORKERS),
-        "--executor",
-        "workqueue",
         "--cache",
         cache_dir,
         *extra,

@@ -94,8 +94,12 @@ def test_megafleet_peak_rss_bounded():
         report = json.load(handle)
 
     assert report["phones"] == MEGAFLEET_PHONES
-    assert report["shards"] == MEGAFLEET_SHARDS
-    assert len(report["shard_ranges"]) == MEGAFLEET_SHARDS
+    # Work stealing splits planned shards near the tail of the run, so
+    # the executed tiling is at least as fine as the plan.
+    ranges = report["shard_ranges"]
+    assert report["shards"] == len(ranges) >= MEGAFLEET_SHARDS
+    assert ranges[0][0] == 0 and ranges[-1][1] == MEGAFLEET_PHONES
+    assert all(left[1] == right[0] for left, right in zip(ranges, ranges[1:]))
     for key, value in report["headline"].items():
         assert isinstance(value, (int, float, str)), key
 

@@ -50,7 +50,7 @@ Usage::
         --workers 4 --output BENCH_megafleet.json
     python -m repro.cli megafleet --phones 50 --shards 5 --verify
     python -m repro.cli megafleet --phones 100000 --shards 64 --workers 8 \\
-        --executor workqueue --cache .mega/ --live
+        --cache .mega/ --live
     python -m repro.cli monitor .mega/ --interval 2
     python -m repro.cli monitor .mega/ --once
 """
@@ -63,7 +63,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.coalescence import DEFAULT_WINDOW
-from repro.analysis.ingest import PIPELINE_STRUCTURED, PIPELINES, Dataset
+from repro.analysis.ingest import Dataset
 from repro.analysis.report import build_report
 from repro.analysis.tables import render_table
 from repro.core.clock import MONTH
@@ -71,11 +71,6 @@ from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
 from repro.experiments.compare import headline_comparison
 from repro.experiments.config import CampaignConfig
-from repro.experiments.executors import (
-    EXECUTOR_POOL,
-    EXECUTOR_WORKQUEUE,
-    EXECUTORS,
-)
 from repro.experiments.perf import (
     check_counters,
     check_regression,
@@ -83,7 +78,6 @@ from repro.experiments.perf import (
     measure_campaign,
 )
 from repro.experiments.runner import run_campaigns
-from repro.experiments.shard import MERGE_AUTO, MERGE_MODES
 from repro.forum.corpus import CorpusConfig
 from repro.forum.study import run_forum_study
 from repro.logger.transfer import load_lines_from_dir
@@ -128,12 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append the extension analyses (downtime, reliability, "
         "variability, trends)",
     )
-    campaign.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door: 'structured' hands collected record objects "
-        "straight to the analysis; 'text' forces the serialize->reparse "
-        "round trip (results are identical)",
-    )
 
     analyze = sub.add_parser(
         "analyze", help="analyse previously exported log files"
@@ -168,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--months", type=float, default=14.0)
     sweep.add_argument(
         "--workers", type=int, default=4,
-        help="worker processes (1 = serial in-process)",
+        help="worker processes (1 = in-process)",
     )
     sweep.add_argument(
         "--cache", metavar="DIR", default=None,
@@ -177,11 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--window", type=float, default=DEFAULT_WINDOW,
         help="panic/HL coalescence window in seconds (paper: 300)",
-    )
-    sweep.add_argument(
-        "--executor", choices=EXECUTORS, default=None,
-        help="execution backend (default: pool when --workers > 1, "
-        "else serial)",
     )
     sweep.add_argument(
         "--live", action="store_true",
@@ -200,10 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--phones", type=int, default=25)
     perf.add_argument("--months", type=float, default=14.0)
     perf.add_argument("--seed", type=int, default=2005)
-    perf.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door to measure (default: structured)",
-    )
     perf.add_argument(
         "--repeats", type=int, default=1,
         help="clean runs to take the best of (default: 1)",
@@ -264,10 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--months", type=float, default=2.0)
     trace.add_argument("--seed", type=int, default=2005)
     trace.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door for the traced run (default: structured)",
-    )
-    trace.add_argument(
         "--top", type=int, default=15,
         help="rows in the hotspot summary (default: 15)",
     )
@@ -292,10 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(f"{x:g}" for x in DEFAULT_INTENSITIES),
         help="comma-separated intensity multipliers applied to the "
         "preset (default: 0.25,0.5,1,2)",
-    )
-    faults.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door for every run (default: structured)",
     )
     faults.add_argument(
         "--resilience", action="store_true",
@@ -335,25 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     megafleet.add_argument(
         "--workers", type=int, default=4,
-        help="worker processes (1 = serial in-process)",
-    )
-    megafleet.add_argument(
-        "--pipeline", choices=PIPELINES, default=PIPELINE_STRUCTURED,
-        help="ingest door for every shard (default: structured)",
-    )
-    megafleet.add_argument(
-        "--executor", choices=(EXECUTOR_POOL, EXECUTOR_WORKQUEUE),
-        default=EXECUTOR_POOL,
-        help="shard backend: 'pool' = static process-pool assignment; "
-        "'workqueue' = work-stealing queue workers with durable "
-        "commit-before-acknowledge (kill-9 resumable)",
-    )
-    megafleet.add_argument(
-        "--merge", choices=MERGE_MODES, default=MERGE_AUTO,
-        help="shard merge: 'memory' holds every shard result at once; "
-        "'streaming' (workqueue only) folds committed files one at a "
-        "time so parent RSS stays flat in --shards; 'auto' picks "
-        "streaming for workqueue (default: auto)",
+        help="worker processes (1 = in-process)",
     )
     megafleet.add_argument(
         "--retries", type=int, default=0,
@@ -364,12 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--skew", type=float, default=None, metavar="FACTOR",
         help="deliberately unbalance the shard plan: the first shard "
         "gets FACTOR times the weight of each remaining shard "
-        "(benchmarks the work-stealing backend)",
+        "(benchmarks work stealing)",
     )
     megafleet.add_argument(
         "--spill", metavar="DIR", default=None,
-        help="directory for workqueue shard commits when no --cache is "
-        "given (default: a private temp dir, removed after the merge)",
+        help="directory for shard commits when no --cache is given "
+        "(default: a private temp dir, removed after the merge)",
     )
     megafleet.add_argument(
         "--cache", metavar="DIR", default=None,
@@ -452,9 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     fleet = FleetConfig(phone_count=args.phones, duration=args.months * MONTH)
-    result = run_campaign(
-        CampaignConfig(fleet=fleet, seed=args.seed), pipeline=args.pipeline
-    )
+    result = run_campaign(CampaignConfig(fleet=fleet, seed=args.seed))
     if args.headline_only:
         print(result.report.render_headline())
     elif args.extended:
@@ -534,7 +485,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         configs,
         workers=args.workers,
         cache=cache,
-        executor=args.executor,
         on_complete=on_complete,
     )
 
@@ -590,7 +540,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     try:
         result = measure_campaign(
             config,
-            pipeline=args.pipeline,
             repeats=args.repeats,
             profile=args.profile,
             profile_top=args.profile_top,
@@ -666,7 +615,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     tel = Telemetry(TELEMETRY_TRACE)
-    run_campaign(config, pipeline=args.pipeline, telemetry=tel)
+    run_campaign(config, telemetry=tel)
     trace = chrome_trace(tel.tracer, tel.registry)
     problems = validate_chrome_trace(trace)
     if problems:
@@ -709,7 +658,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         config,
         base_plan=base_plan,
         intensities=intensities,
-        pipeline=args.pipeline,
     )
     if args.resilience:
         report.resilience = run_resilience_probe(config, base_plan)
@@ -782,11 +730,8 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
             config,
             shards=args.shards,
             workers=args.workers,
-            pipeline=args.pipeline,
             cache=cache,
             retries=args.retries,
-            executor=args.executor,
-            merge=args.merge,
             spill_dir=args.spill,
             weights=weights,
             live=args.live,
@@ -804,9 +749,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         "shards": result.shard_count,
         "shard_ranges": [list(r) for r in result.shard_ranges],
         "workers": args.workers,
-        "pipeline": args.pipeline,
         "executor": result.executor,
-        "merge_mode": result.merge_mode,
         "counters": result.stats.to_dict(),
         "events_fired": result.events_fired,
         "events_per_second": round(result.events_fired / wall, 1)
@@ -834,9 +777,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
 
     verified: Optional[bool] = None
     if args.verify:
-        mono = CampaignSummary.from_result(
-            run_campaign(config, pipeline=args.pipeline)
-        )
+        mono = CampaignSummary.from_result(run_campaign(config))
         verified = json.dumps(mono.to_dict(), sort_keys=True) == json.dumps(
             summary.to_dict(), sort_keys=True
         )
@@ -847,9 +788,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"Mega-fleet: {args.phones} phones x {args.months:g} months, "
-            f"{result.shard_count} shards x {args.workers} workers "
-            f"({result.executor} executor, {result.merge_mode} merge, "
-            f"{args.pipeline} ingest)",
+            f"{result.shard_count} shards x {args.workers} workers",
             f"wall time:       {wall:.2f}s",
             f"events/second:   {report['events_per_second']:,.0f} "
             f"({result.events_fired:,} events)",

@@ -7,8 +7,8 @@
   runner, plus :func:`run_campaigns_resilient` and its
   :class:`SweepManifest` of partial results and structured failures.
 * :mod:`cache`    — the on-disk summary cache for repeated sweeps.
-* :mod:`executors` — pluggable execution backends (serial, process
-  pool, work-stealing work queue) behind one :class:`Executor` face.
+* :mod:`executors` — the work-stealing work-queue executor every
+  multi-campaign run goes through (in-process when ``workers == 1``).
 * :mod:`shard`    — sharded mega-fleet campaigns with work stealing,
   durable commits (kill-9 resumable), and spill-to-disk merge.
 * :mod:`paper`    — the paper's published numbers, as data.
@@ -24,16 +24,9 @@ from repro.experiments.compare import (
 )
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
-    EXECUTOR_POOL,
-    EXECUTOR_SERIAL,
     EXECUTOR_WORKQUEUE,
-    EXECUTORS,
-    Executor,
     ExecutorStats,
-    PoolExecutor,
-    SerialExecutor,
     WorkQueueExecutor,
-    get_executor,
 )
 from repro.experiments.runner import (
     CampaignExecutionError,
@@ -44,10 +37,6 @@ from repro.experiments.runner import (
     summarize_campaign,
 )
 from repro.experiments.shard import (
-    MERGE_AUTO,
-    MERGE_MEMORY,
-    MERGE_MODES,
-    MERGE_STREAMING,
     CommittedShard,
     MegafleetResult,
     MergedCampaign,
@@ -85,20 +74,9 @@ __all__ = [
     "Comparison",
     "ComparisonRow",
     "headline_comparison",
-    "EXECUTOR_POOL",
-    "EXECUTOR_SERIAL",
     "EXECUTOR_WORKQUEUE",
-    "EXECUTORS",
-    "Executor",
     "ExecutorStats",
-    "PoolExecutor",
-    "SerialExecutor",
     "WorkQueueExecutor",
-    "get_executor",
-    "MERGE_AUTO",
-    "MERGE_MEMORY",
-    "MERGE_MODES",
-    "MERGE_STREAMING",
     "CommittedShard",
     "MegafleetResult",
     "MergedCampaign",

@@ -1,36 +1,37 @@
-"""Pluggable campaign executors: pool, work-stealing queue, serial.
+"""The campaign executor: one coordinator-scheduled work queue.
 
-PR 5 broke the single-process *memory* ceiling; execution itself was
-still one hard-wired ``ProcessPoolExecutor`` fan-out inside the runner.
-This module lifts that choice behind an :class:`Executor` interface so
-the runner and the sharded mega-fleet path can swap backends without
-touching campaign logic — and so a multi-host backend can drop in
-later behind the same seam:
+Every multi-campaign run — a seed sweep through
+:func:`~repro.experiments.runner.run_campaigns` or the shards of one
+sharded campaign through
+:func:`~repro.experiments.shard.run_sharded_campaign` — executes on a
+:class:`WorkQueueExecutor`: N long-lived worker processes pulling tasks
+from a coordinator-managed queue.
 
-* :class:`SerialExecutor` (``"serial"``) — everything runs in-process,
-  in index order.  Also the graceful-degradation target every parallel
-  backend falls back to when worker processes cannot start (sandboxes,
-  restricted interpreters).
-* :class:`PoolExecutor` (``"pool"``) — the classic
-  ``ProcessPoolExecutor`` fan-out: static assignment, one future per
-  campaign, per-future watchdog.  Exactly the runner's historical
-  behaviour, now as one backend among several.
-* :class:`WorkQueueExecutor` (``"workqueue"``) — N long-lived worker
-  processes pulling tasks from a coordinator-managed queue.  Dynamic
-  assignment alone fixes mild skew (a worker that finishes early just
-  pulls the next task); for *sharded* campaigns the coordinator also
-  performs **work stealing**: when the remaining work is concentrated
-  in one oversized phone range, an idle worker is handed half of the
-  largest pending range (split via ``FleetConfig.phone_range``) instead
-  of idling while one long-tailed shard gates the wall clock.  Workers
-  that die mid-task (``kill -9``, OOM) are detected by liveness
-  polling; their in-flight task is requeued and the worker respawned.
-  With a ``commit_dir``, workers durably commit each result to a
-  :class:`~repro.experiments.cache.CampaignCache` (atomic temp file +
-  rename) *before* acknowledging it — the property that makes
-  mega-fleet runs resumable after ``kill -9`` of the whole process
-  tree — and only a tiny acknowledgement crosses the queue, keeping
-  the parent's memory flat in shard count.
+* **Dynamic balance.**  A worker that finishes early just pulls the
+  next task, so an uneven plan never pins wall time to the unluckiest
+  static assignment.
+* **Work stealing.**  For sharded campaigns the coordinator halves the
+  largest pending phone range at dispatch time (split via
+  ``FleetConfig.phone_range``) until it fits the current fair share,
+  so one long-tailed shard ends as several chunks spread over idle
+  workers.
+* **One retry/watchdog policy.**  The coordinator owns every retry.  A
+  task gets ``1 + retries`` attempts against its own failures (an
+  exception, or a hang reclaimed by the per-task watchdog); a worker
+  that dies mid-task (``kill -9``, OOM) is detected by liveness polling,
+  respawned, and its task re-dispatched at least once, so a single kill
+  never takes a run down.  Each dispatch carries its attempt number.
+* **Durable commit.**  With a ``commit_dir``, workers commit each
+  result to a :class:`~repro.experiments.cache.CampaignCache` (atomic
+  temp file + rename) *before* acknowledging it — the property that
+  makes mega-fleet runs resumable after ``kill -9`` of the whole
+  process tree — and only a tiny acknowledgement crosses the queue,
+  keeping the parent's memory flat in shard count.
+* **In-process path.**  With ``workers == 1``, or where worker
+  processes cannot start (sandboxes, restricted interpreters), the same
+  tasks run in the calling process with the same retry and commit
+  semantics; only the watchdog is off, since an in-process attempt
+  cannot be preempted.
 
 Counters: every steal, task retry, worker restart, and watchdog fire is
 tallied in an :class:`ExecutorStats` (always, so reports and benchmarks
@@ -41,7 +42,6 @@ counters (``executor.steals_total`` etc.) when metrics are enabled.
 
 from __future__ import annotations
 
-import os
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -58,14 +58,9 @@ from typing import (
 
 from repro.experiments.cache import CampaignCache
 from repro.experiments.config import CampaignConfig
-from repro.observability.telemetry import Telemetry
+from repro.observability.telemetry import Telemetry, current_telemetry
 
-EXECUTOR_SERIAL = "serial"
-EXECUTOR_POOL = "pool"
 EXECUTOR_WORKQUEUE = "workqueue"
-
-#: Backend names accepted by ``get_executor`` (and the CLI flags).
-EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_POOL, EXECUTOR_WORKQUEUE)
 
 #: Never steal below this many phones: a split that produces slivers
 #: costs more in per-shard overhead than it recovers in balance.
@@ -86,10 +81,10 @@ class CampaignExecutionError(RuntimeError):
 
     ``traceback`` holds the worker-side traceback text (including the
     remote traceback when the failure crossed a process boundary) and
-    ``attempts`` how many tries the runner made, so a failed sweep
+    ``attempts`` how many tries the executor made, so a failed sweep
     member is diagnosable without re-running it.  ``phone_range`` pins
-    the exact fleet slice that was in flight when a sharded run (or a
-    broken process pool) took the campaign down.
+    the exact fleet slice that was in flight when a sharded run took
+    the campaign down.
     """
 
     def __init__(
@@ -137,11 +132,11 @@ class ExecutorStats:
     enabled.
     """
 
-    backend: str = EXECUTOR_SERIAL
+    backend: str = EXECUTOR_WORKQUEUE
     #: Dispatch-time splits of the largest pending phone range — each
     #: one is an idle worker stealing half of a long-tailed shard.
     steals: int = 0
-    #: Tasks re-dispatched after a worker error, death, or hang.
+    #: Tasks re-dispatched after a failure, worker death, or hang.
     task_retries: int = 0
     #: Committed shards skipped at (re)planning time — the resume path.
     resumed_shards: int = 0
@@ -169,8 +164,8 @@ class ExecutorStats:
         """Mirror the tallies into labeled registry counters.
 
         Only the delta since the last mirror is added, so sampling at
-        every layer boundary (executor, runner, sharded campaign) is
-        safe — the counters converge on the plain-integer tallies.
+        every layer boundary (executor, sharded campaign) is safe — the
+        counters converge on the plain-integer tallies.
         """
         if not tel.metrics:
             return
@@ -189,170 +184,25 @@ class ExecutorStats:
                 self._mirrored[name] = value
 
 
-class Executor:
-    """One way of running many campaign tasks.
+def _attempt(
+    task: Callable[..., Any],
+    config: CampaignConfig,
+    attempt: int,
+    cache: Optional[CampaignCache],
+) -> Any:
+    """Run one attempt; with ``cache`` commit the result, return ``None``.
 
-    ``execute`` is the index-preserving map the multi-seed runner
-    drives: fill ``results[index]`` (or ``failed[index]``) for every
-    index in ``pending`` and return the indices that still need a
-    serial in-process attempt (all of them when the backend cannot
-    start, the unfinished tail when it breaks mid-way).  Backends never
-    raise for per-task failures — those land in ``failed`` so the
-    runner's retry and manifest machinery stays backend-agnostic.
+    A task that declares ``accepts_attempt`` is called as
+    ``task(config, attempt=n)`` with the 0-based attempt number.
     """
-
-    name: str = "?"
-    #: Whether the backend fans out at all (False => runner goes serial).
-    parallel: bool = False
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.stats = ExecutorStats(backend=self.name)
-
-    def execute(
-        self,
-        configs: Sequence[CampaignConfig],
-        pending: Sequence[int],
-        results: List[Optional[Any]],
-        task: Callable[..., Any],
-        timeout: Optional[float],
-        failed: Dict[int, FailureInfo],
-        walls: Dict[int, List[float]],
-        watchdogs: Dict[int, Optional[float]],
-        tel: Telemetry,
-        commit: Callable[[int, Any], None],
-    ) -> List[int]:
-        raise NotImplementedError
-
-
-class SerialExecutor(Executor):
-    """No fan-out: hand everything back to the runner's serial loop."""
-
-    name = EXECUTOR_SERIAL
-    parallel = False
-
-    def execute(
-        self, configs, pending, results, task, timeout,
-        failed, walls, watchdogs, tel, commit,
-    ) -> List[int]:
-        return list(pending)
-
-
-class PoolExecutor(Executor):
-    """Static ``ProcessPoolExecutor`` fan-out — the historical backend.
-
-    One future per campaign, submitted up front; a per-future watchdog
-    reclaims hung workers; a broken pool (killed worker, a sandbox
-    denying fork) hands the unfinished tail back for serial execution.
-    Completed results are committed to the cache *as they are observed*
-    so a crash of the parent loses only in-flight work.
-    """
-
-    name = EXECUTOR_POOL
-    parallel = True
-
-    def execute(
-        self, configs, pending, results, task, timeout,
-        failed, walls, watchdogs, tel, commit,
-    ) -> List[int]:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures import TimeoutError as FutureTimeoutError
-            from concurrent.futures.process import BrokenProcessPool
-
-            executor = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))
-            )
-        except Exception:
-            return list(pending)
-
-        watchdog_series = (
-            tel.registry.counter(
-                "runner.watchdog_fires_total",
-                help="pooled workers reclaimed by the watchdog",
-            ).series()
-            if tel.metrics
-            else None
-        )
-        leftover: List[int] = []
-        try:
-            submitted_at = {index: perf_counter() for index in pending}
-            futures = {
-                index: executor.submit(task, configs[index]) for index in pending
-            }
-            broken = False
-            for index in pending:
-                if broken:
-                    leftover.append(index)
-                    continue
-                watchdogs[index] = timeout
-                try:
-                    with tel.span(
-                        "campaign.await",
-                        category="runner",
-                        track="runner",
-                        index=index,
-                        seed=configs[index].seed,
-                    ):
-                        results[index] = futures[index].result(timeout=timeout)
-                except BrokenProcessPool:
-                    # The pool died under us: finish the rest
-                    # in-process.  No watchdog ever guarded this
-                    # attempt, so unrecord it — but keep the identity
-                    # of the task that was in flight observable.
-                    broken = True
-                    watchdogs.pop(index, None)
-                    leftover.append(index)
-                    tel.instant(
-                        "process pool broke",
-                        category="runner",
-                        track="runner",
-                        index=index,
-                        seed=configs[index].seed,
-                        phone_range=list(
-                            configs[index].fleet.phone_range or ()
-                        ),
-                    )
-                except (FutureTimeoutError, TimeoutError):
-                    futures[index].cancel()
-                    walls.setdefault(index, []).append(
-                        perf_counter() - submitted_at[index]
-                    )
-                    self.stats.watchdog_fires += 1
-                    if watchdog_series is not None:
-                        watchdog_series.value += 1.0
-                    tel.instant(
-                        "watchdog fire",
-                        category="runner",
-                        track="runner",
-                        index=index,
-                        seed=configs[index].seed,
-                    )
-                    failed[index] = (
-                        "WorkerTimeout",
-                        f"no result within {timeout}s (hung worker)",
-                        "",
-                    )
-                except CampaignExecutionError:
-                    raise
-                except Exception as exc:
-                    walls.setdefault(index, []).append(
-                        perf_counter() - submitted_at[index]
-                    )
-                    failed[index] = format_failure(exc)
-                else:
-                    walls.setdefault(index, []).append(
-                        perf_counter() - submitted_at[index]
-                    )
-                    commit(index, results[index])
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return leftover
-
-
-# -- work-queue backend ---------------------------------------------------------
+    if getattr(task, "accepts_attempt", False):
+        result = task(config, attempt=attempt)
+    else:
+        result = task(config)
+    if cache is None:
+        return result
+    cache.put(config, result)
+    return None
 
 
 def _worker_main(wid, task, commit_dir, inbox, outbox):
@@ -369,12 +219,9 @@ def _worker_main(wid, task, commit_dir, inbox, outbox):
         message = inbox.get()
         if message[0] == "stop":
             return
-        _kind, task_id, config = message
+        _kind, task_id, config, attempt = message
         try:
-            result = task(config)
-            if cache is not None:
-                cache.put(config, result)
-                result = None
+            result = _attempt(task, config, attempt, cache)
         except Exception as exc:
             outbox.put(("error", wid, task_id, format_failure(exc)))
         else:
@@ -382,7 +229,7 @@ def _worker_main(wid, task, commit_dir, inbox, outbox):
 
 
 class _QueueStartupError(RuntimeError):
-    """Worker processes could not start; fall back to serial."""
+    """Worker processes could not start; run in-process instead."""
 
 
 @dataclass
@@ -393,43 +240,38 @@ class _InFlight:
 
 
 @dataclass
-class _QueueOutcome:
-    """What one coordinator run produced, keyed by task id."""
+class RunOutcome:
+    """What one executor run produced, keyed by task key."""
 
-    completed: "Dict[Any, Tuple[CampaignConfig, Any]]" = field(
+    #: Completed tasks' configs (a stolen split is its own key).
+    completed: Dict[Any, CampaignConfig] = field(default_factory=dict)
+    #: ``(config, failure, attempts)`` for tasks out of attempts.
+    failed: Dict[Any, Tuple[CampaignConfig, FailureInfo, int]] = field(
         default_factory=dict
     )
-    failed: "Dict[Any, Tuple[CampaignConfig, FailureInfo, int]]" = field(
-        default_factory=dict
-    )
-    walls: "Dict[Any, List[float]]" = field(default_factory=dict)
+    #: Wall seconds of every attempt, in attempt order.
+    walls: Dict[Any, List[float]] = field(default_factory=dict)
+    #: The per-task watchdog deadline armed for worker-process attempts;
+    #: ``None`` when tasks ran in-process (nothing can preempt them).
+    watchdog: Optional[float] = None
 
 
-class WorkQueueExecutor(Executor):
+#: Splits one task config into two halves, or ``None`` when it cannot.
+Splitter = Callable[
+    [CampaignConfig], Optional[Tuple[CampaignConfig, CampaignConfig]]
+]
+
+
+class WorkQueueExecutor:
     """Coordinator-scheduled worker processes with work stealing.
 
     The coordinator owns the pending task list and dispatches one task
     per idle worker; workers acknowledge over a shared upstream queue.
-    Three properties distinguish it from the static pool:
-
-    * **dynamic balance** — a worker that finishes early immediately
-      pulls the next task, so an uneven plan no longer pins wall time
-      to the unluckiest static assignment;
-    * **work stealing** — with a ``splitter``, an oversized task is
-      halved at dispatch until it fits the current fair share
-      (``remaining / (workers * oversubscribe)``), so one huge phone
-      range ends as several chunks spread over idle workers;
-    * **self-healing** — a worker that dies mid-task is detected by
-      liveness polling, its task requeued and the worker respawned; a
-      task that exceeds ``timeout`` is reclaimed by killing the worker.
-
-    With ``commit_dir`` set (sharded mode) workers commit every result
-    durably before acknowledging, which is what makes ``kill -9``
-    resume work: anything acknowledged is already on disk.
+    See the module docstring for balance, stealing, the retry policy,
+    durable commits, and the in-process path.
     """
 
     name = EXECUTOR_WORKQUEUE
-    parallel = True
 
     def __init__(
         self,
@@ -440,7 +282,10 @@ class WorkQueueExecutor(Executor):
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         worker_restarts: Optional[int] = None,
     ) -> None:
-        super().__init__(workers)
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
+        self.stats = ExecutorStats(backend=self.name)
         self.steal = steal
         self.min_split_phones = max(1, min_split_phones)
         self.oversubscribe = max(1, oversubscribe)
@@ -450,53 +295,81 @@ class WorkQueueExecutor(Executor):
             worker_restarts if worker_restarts is not None else 2 * workers
         )
 
-    # -- runner integration (index-preserving map, no stealing) ---------
+    def run(
+        self,
+        items: Sequence[Tuple[Any, CampaignConfig]],
+        task: Callable[..., Any],
+        retries: int = 0,
+        timeout: Optional[float] = None,
+        commit_dir: Optional[str] = None,
+        on_done: Optional[Callable[[Any, CampaignConfig, Any], None]] = None,
+        splitter: Optional[Splitter] = None,
+        size_fn: Optional[Callable[[CampaignConfig], int]] = None,
+        live_dir: Optional[str] = None,
+        progress: Optional[Callable[[Any], None]] = None,
+    ) -> RunOutcome:
+        """Run ``(key, config)`` tasks to completion or exhaustion.
 
-    def execute(
-        self, configs, pending, results, task, timeout,
-        failed, walls, watchdogs, tel, commit,
-    ) -> List[int]:
-        items: List[Tuple[Any, CampaignConfig]] = [
-            (index, configs[index]) for index in pending
-        ]
+        Never raises for per-task failures — those land in
+        :attr:`RunOutcome.failed`.  ``on_done(key, config, payload)``
+        fires the moment each task completes (``payload`` is ``None``
+        when ``commit_dir`` committed it).  ``timeout`` arms the
+        per-task watchdog for worker-process attempts.  ``splitter``
+        and ``size_fn`` enable work stealing (when :attr:`steal`).
+
+        With ``live_dir`` set, the coordinator heartbeats executor
+        state into the op-log and periodically folds the whole log
+        into a rolling :class:`~repro.observability.live.LiveSnapshot`
+        (writing ``metrics.prom`` and invoking ``progress``), with one
+        final fold when the run ends.
+        """
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        tel = current_telemetry()
+        live = None
+        if live_dir is not None:
+            from repro.observability.live import LiveCoordinator
+
+            live = LiveCoordinator(live_dir, stats=self.stats, progress=progress)
         try:
-            outcome = self._run(
-                items,
-                task,
-                commit_dir=None,
-                tel=tel,
-                retries=0,
-                timeout=timeout,
-                splitter=None,
-                size_fn=None,
-            )
-        except _QueueStartupError:
-            return list(pending)
-        for index, (config, payload) in outcome.completed.items():
-            results[index] = payload
-            commit(index, payload)
-        for index, (config, info, _attempts) in outcome.failed.items():
-            failed[index] = info
-            if info[0] == "WorkerTimeout":
-                watchdogs[index] = timeout
-        for index, attempts in outcome.walls.items():
-            walls.setdefault(index, []).extend(attempts)
+            with tel.span(
+                "executor.run",
+                category="executor",
+                track="executor",
+                workers=self.workers,
+                tasks=len(items),
+            ):
+                outcome = None
+                if self.workers > 1 and items:
+                    try:
+                        outcome = self._run_workers(
+                            list(items), task, retries, timeout, commit_dir,
+                            on_done, splitter if self.steal else None,
+                            size_fn, live, tel,
+                        )
+                    except _QueueStartupError:
+                        pass
+                if outcome is None:
+                    outcome = self._run_inline(
+                        items, task, retries, commit_dir, on_done, live
+                    )
+        finally:
+            if live is not None:
+                try:
+                    live.tick(force=True)
+                finally:
+                    live.close()
         self.stats.sample(tel)
-        return []
-
-    # -- sharded mode (stealing + durable commit) -----------------------
+        return outcome
 
     def execute_shards(
         self,
         items: Sequence[Tuple[Tuple[int, int], CampaignConfig]],
-        task: Callable[[CampaignConfig], Any],
+        task: Callable[..., Any],
         commit_dir: str,
-        tel: Telemetry,
         retries: int = 0,
         timeout: Optional[float] = None,
-        splitter: Optional[
-            Callable[[CampaignConfig], Optional[Tuple[CampaignConfig, CampaignConfig]]]
-        ] = None,
+        splitter: Optional[Splitter] = None,
         size_fn: Optional[Callable[[CampaignConfig], int]] = None,
         live_dir: Optional[str] = None,
         progress: Optional[Callable[[Any], None]] = None,
@@ -509,41 +382,20 @@ class WorkQueueExecutor(Executor):
         stealing split a long-tailed shard.  Raises
         :class:`CampaignExecutionError` (with the offending
         ``phone_range``) when a task exhausts its attempts.
-
-        With ``live_dir`` set, the coordinator heartbeats executor
-        state into the op-log and periodically folds the whole log
-        into a rolling :class:`~repro.observability.live.LiveSnapshot`
-        (writing ``metrics.prom`` and invoking ``progress``).
         """
-        try:
-            with tel.span(
-                "executor.run",
-                category="executor",
-                track="executor",
-                workers=self.workers,
-                shards=len(items),
-            ):
-                outcome = self._run(
-                    list(items),
-                    task,
-                    commit_dir=commit_dir,
-                    tel=tel,
-                    retries=retries,
-                    timeout=timeout,
-                    splitter=splitter if self.steal else None,
-                    size_fn=size_fn,
-                    live_dir=live_dir,
-                    progress=progress,
-                )
-        except _QueueStartupError:
-            outcome = self._run_serial(
-                list(items), task, commit_dir, retries,
-                live_dir=live_dir, progress=progress,
-            )
-        self.stats.sample(tel)
+        outcome = self.run(
+            items,
+            task,
+            retries=retries,
+            timeout=timeout,
+            commit_dir=commit_dir,
+            splitter=splitter,
+            size_fn=size_fn,
+            live_dir=live_dir,
+            progress=progress,
+        )
         if outcome.failed:
-            key = sorted(outcome.failed, key=lambda k: tuple(k))[0]
-            config, info, attempts = outcome.failed[key]
+            config, info, attempts = outcome.failed[min(outcome.failed)]
             raise CampaignExecutionError(
                 index=-1,
                 seed=config.seed,
@@ -552,112 +404,98 @@ class WorkQueueExecutor(Executor):
                 attempts=attempts,
                 phone_range=config.fleet.phone_range,
             )
-        ordered = sorted(outcome.completed, key=lambda k: tuple(k))
-        return [(key, outcome.completed[key][0]) for key in ordered]
+        return [(key, outcome.completed[key]) for key in sorted(outcome.completed)]
 
-    def _run_serial(
+    # -- in-process path -------------------------------------------------
+
+    def _run_inline(
         self,
-        items: List[Tuple[Any, CampaignConfig]],
-        task: Callable[[CampaignConfig], Any],
-        commit_dir: str,
+        items: Sequence[Tuple[Any, CampaignConfig]],
+        task: Callable[..., Any],
         retries: int,
-        live_dir: Optional[str] = None,
-        progress: Optional[Callable[[Any], None]] = None,
-    ) -> _QueueOutcome:
-        """In-process fallback with identical commit semantics."""
-        cache = CampaignCache(commit_dir)
-        outcome = _QueueOutcome()
-        live = None
-        if live_dir is not None:
-            from repro.observability.live import LiveCoordinator
-
-            live = LiveCoordinator(live_dir, stats=self.stats, progress=progress)
-        for key, config in items:
+        commit_dir: Optional[str],
+        on_done: Optional[Callable[[Any, CampaignConfig, Any], None]],
+        live: Optional[Any],
+    ) -> RunOutcome:
+        """Every task in the calling process, retried in place."""
+        cache = CampaignCache(commit_dir) if commit_dir is not None else None
+        outcome = RunOutcome()
+        for position, (key, config) in enumerate(items):
             if live is not None:
-                live.tick(pending=len(items), inflight=1, workers=1)
-            attempts = 0
-            while True:
-                attempts += 1
+                live.tick(pending=len(items) - position - 1, inflight=1, workers=1)
+            walls = outcome.walls.setdefault(key, [])
+            for attempt in range(retries + 1):
                 start = perf_counter()
                 try:
-                    result = task(config)
-                    cache.put(config, result)
+                    payload = _attempt(task, config, attempt, cache)
                 except Exception as exc:
-                    outcome.walls.setdefault(key, []).append(
-                        perf_counter() - start
-                    )
-                    if attempts <= retries:
+                    walls.append(perf_counter() - start)
+                    if attempt < retries:
                         self.stats.task_retries += 1
                         continue
-                    outcome.failed[key] = (config, format_failure(exc), attempts)
-                    break
+                    outcome.failed[key] = (config, format_failure(exc), attempt + 1)
                 else:
-                    outcome.walls.setdefault(key, []).append(
-                        perf_counter() - start
-                    )
-                    outcome.completed[key] = (config, None)
-                    break
-        if live is not None:
-            live.tick(force=True)
-            live.close()
+                    walls.append(perf_counter() - start)
+                    outcome.completed[key] = config
+                    if on_done is not None:
+                        on_done(key, config, payload)
+                break
         return outcome
 
     # -- the coordinator ------------------------------------------------
 
-    def _run(
+    def _run_workers(
         self,
         items: List[Tuple[Any, CampaignConfig]],
-        task: Callable[[CampaignConfig], Any],
-        commit_dir: Optional[str],
-        tel: Telemetry,
+        task: Callable[..., Any],
         retries: int,
         timeout: Optional[float],
-        splitter,
-        size_fn,
-        live_dir: Optional[str] = None,
-        progress: Optional[Callable[[Any], None]] = None,
-    ) -> _QueueOutcome:
+        commit_dir: Optional[str],
+        on_done: Optional[Callable[[Any, CampaignConfig, Any], None]],
+        splitter: Optional[Splitter],
+        size_fn: Optional[Callable[[CampaignConfig], int]],
+        live: Optional[Any],
+        tel: Telemetry,
+    ) -> RunOutcome:
         import multiprocessing
         from queue import Empty
 
         context = multiprocessing.get_context()
-        outcome = _QueueOutcome()
+        outcome = RunOutcome(watchdog=timeout)
         pending: List[Tuple[Any, CampaignConfig]] = list(items)
-        if not pending:
-            return outcome
+        inboxes: Dict[int, Any] = {}
+        processes: Dict[int, Any] = {}
 
-        live = None
-        if live_dir is not None:
-            from repro.observability.live import LiveCoordinator
-
-            live = LiveCoordinator(live_dir, stats=self.stats, progress=progress)
+        def spawn(wid: int) -> None:
+            inboxes[wid] = context.Queue()
+            proc = context.Process(
+                target=_worker_main,
+                args=(wid, task, commit_dir, inboxes[wid], outbox),
+                daemon=True,
+            )
+            proc.start()
+            processes[wid] = proc
 
         worker_count = min(self.workers, len(pending))
         try:
             outbox = context.Queue()
-            inboxes = {wid: context.Queue() for wid in range(worker_count)}
-            processes: Dict[int, Any] = {}
             for wid in range(worker_count):
-                proc = context.Process(
-                    target=_worker_main,
-                    args=(wid, task, commit_dir, inboxes[wid], outbox),
-                    daemon=True,
-                )
-                proc.start()
-                processes[wid] = proc
+                spawn(wid)
         except Exception:
+            for proc in processes.values():
+                proc.kill()
             raise _QueueStartupError("worker processes could not start")
 
         inflight: Dict[int, _InFlight] = {}
         idle: List[int] = []
-        error_attempts: Dict[Any, int] = {}
-        death_requeues: Dict[Any, int] = {}
+        #: Dispatches so far per key — the next attempt number.
+        dispatches: Dict[Any, int] = {}
+        #: Failed attempts per key that count against ``retries``.
+        failures: Dict[Any, int] = {}
+        #: Worker deaths per key, each allowed at least one re-dispatch.
+        deaths: Dict[Any, int] = {}
         restarts_left = self.worker_restarts
         next_wid = worker_count
-        #: Extra dispatches allowed when a *worker* dies (as opposed to
-        #: the task itself failing): at least one, so a single kill -9
-        #: never takes the whole run down.
-        death_budget = max(1, retries)
 
         def dispatch(wid: int) -> None:
             if size_fn is not None:
@@ -667,7 +505,7 @@ class WorkQueueExecutor(Executor):
             else:
                 best = 0
             key, config = pending.pop(best)
-            if splitter is not None and size_fn is not None and key not in death_requeues:
+            if splitter is not None and size_fn is not None and key not in dispatches:
                 remaining = size_fn(config) + sum(
                     size_fn(c) for _k, c in pending
                 ) + sum(size_fn(f.config) for f in inflight.values())
@@ -693,7 +531,9 @@ class WorkQueueExecutor(Executor):
                         key=str(key),
                         stolen=str(other.fleet.phone_range),
                     )
-            inboxes[wid].put(("task", key, config))
+            attempt = dispatches.get(key, 0)
+            dispatches[key] = attempt + 1
+            inboxes[wid].put(("task", key, config, attempt))
             inflight[wid] = _InFlight(key, config, perf_counter())
 
         def requeue(wid: int, reason: str, info: FailureInfo) -> None:
@@ -709,22 +549,19 @@ class WorkQueueExecutor(Executor):
                 key=str(flight.key),
                 reason=reason,
             )
-            if reason == "error":
-                error_attempts[flight.key] = error_attempts.get(flight.key, 0) + 1
-                if error_attempts[flight.key] <= retries:
-                    self.stats.task_retries += 1
-                    pending.append((flight.key, flight.config))
-                    return
+            if reason == "died":
+                deaths[flight.key] = deaths.get(flight.key, 0) + 1
+                retry = deaths[flight.key] <= max(1, retries)
             else:
-                death_requeues[flight.key] = death_requeues.get(flight.key, 0) + 1
-                if death_requeues[flight.key] <= death_budget:
-                    self.stats.task_retries += 1
-                    pending.append((flight.key, flight.config))
-                    return
-            attempts = 1 + error_attempts.get(flight.key, 0) + death_requeues.get(
-                flight.key, 0
-            )
-            outcome.failed[flight.key] = (flight.config, info, attempts - 1)
+                failures[flight.key] = failures.get(flight.key, 0) + 1
+                retry = failures[flight.key] <= retries
+            if retry:
+                self.stats.task_retries += 1
+                pending.append((flight.key, flight.config))
+            else:
+                outcome.failed[flight.key] = (
+                    flight.config, info, dispatches[flight.key]
+                )
 
         def respawn(dead_wid: int) -> None:
             nonlocal restarts_left, next_wid
@@ -745,14 +582,7 @@ class WorkQueueExecutor(Executor):
             wid = next_wid
             next_wid += 1
             try:
-                inboxes[wid] = context.Queue()
-                proc = context.Process(
-                    target=_worker_main,
-                    args=(wid, task, commit_dir, inboxes[wid], outbox),
-                    daemon=True,
-                )
-                proc.start()
-                processes[wid] = proc
+                spawn(wid)
             except Exception:
                 inboxes.pop(wid, None)
 
@@ -772,7 +602,7 @@ class WorkQueueExecutor(Executor):
                                     "budget is exhausted",
                                     "",
                                 ),
-                                1 + death_requeues.get(key, 0),
+                                dispatches.get(key, 0),
                             ),
                         )
                     pending.clear()
@@ -786,16 +616,14 @@ class WorkQueueExecutor(Executor):
                         workers=len(processes),
                     )
                 try:
-                    kind, wid, task_id, payload = outbox.get(
+                    kind, wid, _task_id, payload = outbox.get(
                         timeout=self.poll_interval
                     )
                 except Empty:
                     now = perf_counter()
                     for wid in list(inflight):
                         proc = processes.get(wid)
-                        flight = inflight.get(wid)
-                        if flight is None:
-                            continue
+                        flight = inflight[wid]
                         if proc is None or not proc.is_alive():
                             requeue(
                                 wid,
@@ -816,7 +644,7 @@ class WorkQueueExecutor(Executor):
                             tel.instant(
                                 "watchdog fire",
                                 category="executor",
-                                track="runner",
+                                track="executor",
                                 key=str(flight.key),
                             )
                             proc.kill()
@@ -836,72 +664,47 @@ class WorkQueueExecutor(Executor):
                         idle.remove(wid)
                         respawn(wid)
                     continue
-                if kind == "ready":
-                    if pending:
-                        dispatch(wid)
-                    else:
-                        idle.append(wid)
-                elif kind == "done":
-                    flight = inflight.pop(wid, None)
-                    if flight is not None:
-                        outcome.walls.setdefault(flight.key, []).append(
-                            perf_counter() - flight.started_at
-                        )
-                        outcome.completed[flight.key] = (flight.config, payload)
-                    if pending:
-                        dispatch(wid)
-                    else:
-                        idle.append(wid)
+                if wid not in processes:
+                    continue  # a reclaimed worker's late message
+                if kind == "done":
+                    flight = inflight.pop(wid)
+                    outcome.walls.setdefault(flight.key, []).append(
+                        perf_counter() - flight.started_at
+                    )
+                    outcome.completed[flight.key] = flight.config
+                    if on_done is not None:
+                        on_done(flight.key, flight.config, payload)
                 elif kind == "error":
                     requeue(wid, "error", payload)
-                    if pending:
-                        dispatch(wid)
-                    else:
-                        idle.append(wid)
+                if pending:
+                    dispatch(wid)
+                else:
+                    idle.append(wid)
         finally:
-            for wid, proc in processes.items():
-                inbox = inboxes.get(wid)
-                if inbox is not None:
-                    try:
-                        inbox.put(("stop",))
-                    except Exception:
-                        pass
+            for wid in processes:
+                try:
+                    inboxes[wid].put(("stop",))
+                except Exception:
+                    pass
             for proc in processes.values():
                 proc.join(timeout=2.0)
                 if proc.is_alive():
                     proc.kill()
                     proc.join(timeout=1.0)
-            if live is not None:
-                try:
-                    live.tick(
-                        pending=len(pending),
-                        inflight=len(inflight),
-                        workers=0,
-                        force=True,
-                    )
-                finally:
-                    live.close()
         return outcome
 
 
-def get_executor(
-    spec: Union[str, Executor, None], workers: int
-) -> Executor:
-    """Resolve a backend name (or pass an instance through).
-
-    ``workers == 1`` always resolves names to the serial backend — a
-    one-worker pool or queue is pure overhead — but an explicit
-    :class:`Executor` instance is honoured as given.
-    """
-    if isinstance(spec, Executor):
-        return spec
-    name = EXECUTOR_POOL if spec is None else str(spec)
-    if name not in EXECUTORS:
+def resolve_executor(
+    executor: Union[str, WorkQueueExecutor], workers: int
+) -> WorkQueueExecutor:
+    """An ``executor=`` argument as an executor: an instance is used as
+    given (``workers`` is then ignored), the name ``"workqueue"`` builds
+    one with ``workers`` workers, and any other name is rejected."""
+    if isinstance(executor, WorkQueueExecutor):
+        return executor
+    if executor != EXECUTOR_WORKQUEUE:
         raise ValueError(
-            f"unknown executor {name!r}; expected one of {EXECUTORS}"
+            f"unknown executor {executor!r}; the only backend is "
+            f"{EXECUTOR_WORKQUEUE!r}"
         )
-    if workers <= 1 or name == EXECUTOR_SERIAL:
-        return SerialExecutor(max(1, workers))
-    if name == EXECUTOR_POOL:
-        return PoolExecutor(workers)
     return WorkQueueExecutor(workers)

@@ -2,7 +2,7 @@
 
 Every multi-seed study used to loop :func:`run_campaign` serially at
 several seconds per paper-scale run.  :func:`run_campaigns` fans the
-runs out over a pluggable executor backend instead (see
+runs out over the work-queue executor instead (see
 :mod:`repro.experiments.executors`):
 
 * results come back as picklable :class:`CampaignSummary` objects, in
@@ -11,8 +11,8 @@ runs out over a pluggable executor backend instead (see
   the failing config's seed, position, attempt count, phone range (for
   sharded slices), and the worker's full traceback;
 * ``workers=1`` (or an environment where worker processes cannot start
-  — sandboxes, restricted interpreters) degrades gracefully to
-  in-process serial execution with identical results;
+  — sandboxes, restricted interpreters) runs in-process with identical
+  results;
 * an optional :class:`~repro.experiments.cache.CampaignCache` makes
   repeated sweeps free: cached configs are never dispatched at all,
   and every fresh result is **committed to the cache the moment it
@@ -20,43 +20,35 @@ runs out over a pluggable executor backend instead (see
   campaign, not from scratch;
 * ``retries`` re-runs a failed campaign (transient worker crashes heal
   without losing the sweep), and ``timeout`` arms a watchdog that
-  reclaims hung pooled workers instead of blocking the whole sweep;
-* ``executor`` selects the backend: ``"pool"`` (static process-pool
-  fan-out, the default), ``"workqueue"`` (dynamic queue with
-  self-healing workers), or ``"serial"``;
+  reclaims hung workers instead of blocking the whole sweep — both
+  under the executor's one retry policy;
 * :func:`run_campaigns_resilient` returns a :class:`SweepManifest` —
   partial results plus a structured failure manifest — instead of
   aborting the entire sweep on one bad campaign.
 
 Determinism holds because each campaign derives every random stream
 from its own config's seed — worker scheduling cannot reorder anything
-inside a run, and the output list is ordered by input position.  Retry
-rounds run serially in index order, so a healed sweep is bit-for-bit
-identical to one that never failed (given a deterministic task).
+inside a run, and the output list is ordered by input position — so a
+healed sweep is bit-for-bit identical to one that never failed (given
+a deterministic task).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
+    EXECUTOR_WORKQUEUE,
     CampaignExecutionError,
-    Executor,
-    FailureInfo,
-    format_failure,
-    get_executor,
+    WorkQueueExecutor,
+    resolve_executor,
 )
 from repro.experiments.summary import CampaignSummary
 from repro.observability.metrics import MetricsRegistry, merge_registries
-from repro.observability.telemetry import (
-    TELEMETRY_METRICS,
-    Telemetry,
-    current_telemetry,
-)
+from repro.observability.telemetry import TELEMETRY_METRICS, Telemetry
 
 __all__ = [
     "CampaignExecutionError",
@@ -80,16 +72,15 @@ class CampaignFailure:
     message: str
     traceback: str
     attempts: int
-    #: Runner-observed wall seconds of each attempt, in attempt order
-    #: (sourced from the runner's per-attempt spans).  A hung pooled
-    #: worker shows up as an attempt pinned near the watchdog deadline.
+    #: Executor-observed wall seconds of each attempt, in attempt
+    #: order.  A hung worker shows up as an attempt pinned near the
+    #: watchdog deadline.
     attempt_wall_seconds: List[float] = field(default_factory=list)
-    #: The watchdog deadline armed for this campaign's pooled attempts;
-    #: ``None`` when no watchdog was armed (serial execution).
+    #: The watchdog deadline armed for this campaign's worker-process
+    #: attempts; ``None`` when it ran in-process (never preemptible).
     watchdog_seconds: Optional[float] = None
     #: The fleet slice the config covered (sharded campaigns), so a
-    #: failure that crossed a broken process pool still names exactly
-    #: which phone range was in flight.
+    #: failure names exactly which phone range was in flight.
     phone_range: Optional[Tuple[int, int]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -179,14 +170,11 @@ class TelemetryTask:
     """A picklable worker task that runs its campaign under telemetry.
 
     Each invocation installs a fresh :class:`Telemetry` at ``level``
-    for the duration of its campaign, so pooled workers never share
+    for the duration of its campaign, so workers never share
     registries; the snapshot rides back to the runner inside the
     summary (plain JSON, no pickling of live telemetry objects), where
     :func:`merged_metrics` folds the fleet back together.
     """
-
-    #: The runner may pass the attempt number; it does not change rolls.
-    accepts_attempt = False
 
     def __init__(self, level: str = TELEMETRY_METRICS) -> None:
         self.level = level
@@ -204,7 +192,7 @@ def run_campaigns(
     task: Callable[[CampaignConfig], CampaignSummary] = summarize_campaign,
     retries: int = 0,
     timeout: Optional[float] = None,
-    executor: Union[str, Executor, None] = None,
+    executor: Union[str, WorkQueueExecutor] = EXECUTOR_WORKQUEUE,
     on_complete: Optional[Callable[[int, CampaignSummary], None]] = None,
 ) -> List[CampaignSummary]:
     """Run many campaigns, fanned out over ``workers`` processes.
@@ -212,7 +200,7 @@ def run_campaigns(
     Args:
         configs: the campaigns to run; the result list matches this
             order exactly.
-        workers: process count; ``1`` runs serially in-process.
+        workers: process count; ``1`` runs in-process.
         cache: an object with ``get(config)``/``put(config, summary)``
             (see :class:`~repro.experiments.cache.CampaignCache`);
             hits skip execution entirely, fresh results are committed
@@ -221,14 +209,14 @@ def run_campaigns(
             ``workers > 1``.  A task with an ``accepts_attempt``
             attribute is called as ``task(config, attempt=n)``.
         retries: extra attempts per failed campaign (0 = fail fast).
-        timeout: per-campaign watchdog in seconds for parallel workers;
-            a worker that produces no result in time is treated as hung
-            and the campaign is retried or reported.  Serial execution
-            cannot be preempted, so the watchdog only arms parallel
-            backends.
-        executor: backend name (``"pool"``, ``"workqueue"``,
-            ``"serial"``) or an :class:`Executor` instance; ``None``
-            means ``"pool"``, the historical behaviour.
+        timeout: per-campaign watchdog in seconds for worker
+            processes; a worker that produces no result in time is
+            treated as hung and the campaign is retried or reported.
+            In-process execution cannot be preempted, so the watchdog
+            only arms worker processes.
+        executor: ``"workqueue"`` or a configured
+            :class:`WorkQueueExecutor` (which then ignores
+            ``workers``).
         on_complete: observer called once per campaign as
             ``on_complete(index, summary)`` the moment its result is
             available — cache hits included — in completion order.
@@ -263,7 +251,7 @@ def run_campaigns_resilient(
     task: Callable[[CampaignConfig], CampaignSummary] = summarize_campaign,
     retries: int = 1,
     timeout: Optional[float] = None,
-    executor: Union[str, Executor, None] = None,
+    executor: Union[str, WorkQueueExecutor] = EXECUTOR_WORKQUEUE,
     on_complete: Optional[Callable[[int, CampaignSummary], None]] = None,
 ) -> SweepManifest:
     """Like :func:`run_campaigns`, but never aborts the sweep.
@@ -278,48 +266,6 @@ def run_campaigns_resilient(
     )
 
 
-# -- execution engine -----------------------------------------------------------
-
-
-def _call(
-    task: Callable[..., CampaignSummary],
-    config: CampaignConfig,
-    attempt: int,
-) -> CampaignSummary:
-    if getattr(task, "accepts_attempt", False):
-        return task(config, attempt=attempt)
-    return task(config)
-
-
-def _timed_call(
-    tel: Telemetry,
-    task: Callable[..., CampaignSummary],
-    config: CampaignConfig,
-    index: int,
-    attempt: int,
-    walls: Dict[int, List[float]],
-) -> CampaignSummary:
-    """One serial attempt under a runner span, wall time recorded.
-
-    The wall measurement feeds the failure manifest whether or not the
-    attempt (or telemetry) succeeds, so a manifest always explains
-    where the sweep's time went.
-    """
-    start = perf_counter()
-    try:
-        with tel.span(
-            "campaign.attempt",
-            category="runner",
-            track="runner",
-            index=index,
-            seed=config.seed,
-            attempt=attempt,
-        ):
-            return _call(task, config, attempt=attempt)
-    finally:
-        walls.setdefault(index, []).append(perf_counter() - start)
-
-
 def _execute(
     configs: Sequence[CampaignConfig],
     workers: int,
@@ -327,120 +273,50 @@ def _execute(
     task: Callable[..., CampaignSummary],
     retries: int,
     timeout: Optional[float],
-    executor: Union[str, Executor, None] = None,
-    on_complete: Optional[Callable[[int, CampaignSummary], None]] = None,
+    executor: Union[str, WorkQueueExecutor],
+    on_complete: Optional[Callable[[int, CampaignSummary], None]],
 ) -> SweepManifest:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    backend = get_executor(executor, workers)
+    backend = resolve_executor(executor, workers)
     configs = list(configs)
     results: List[Optional[CampaignSummary]] = [None] * len(configs)
-
-    pending: List[int] = []
-    notified: set = set()
-
-    def notify(index: int, summary: CampaignSummary) -> None:
-        if on_complete is not None and index not in notified:
-            notified.add(index)
-            on_complete(index, summary)
-
+    pending: List[Tuple[int, CampaignConfig]] = []
     for index, config in enumerate(configs):
         hit = cache.get(config) if cache is not None else None
-        if hit is not None:
-            results[index] = hit
-            notify(index, hit)
-        else:
-            pending.append(index)
+        if hit is None:
+            pending.append((index, config))
+            continue
+        results[index] = hit
+        if on_complete is not None:
+            on_complete(index, hit)
 
-    committed: set = set()
+    def done(index: int, config: CampaignConfig, summary: CampaignSummary) -> None:
+        """Store one completed campaign the moment it lands."""
+        results[index] = summary
+        if cache is not None:
+            cache.put(config, summary)
+        if on_complete is not None:
+            on_complete(index, summary)
 
-    def commit(index: int, summary: CampaignSummary) -> None:
-        """Durably store one completed campaign the moment it lands."""
-        if cache is not None and index not in committed:
-            cache.put(configs[index], summary)
-            committed.add(index)
-        notify(index, summary)
-
-    failed: Dict[int, FailureInfo] = {}
-    attempts: Dict[int, int] = {}
-    walls: Dict[int, List[float]] = {}
-    watchdogs: Dict[int, Optional[float]] = {}
-    tel = current_telemetry()
-    recovered = 0
-    if pending:
-        serial = list(pending)
-        if backend.parallel and len(pending) > 1:
-            serial = backend.execute(
-                configs,
-                pending,
-                results,
-                task,
-                timeout,
-                failed,
-                walls,
-                watchdogs,
-                tel,
-                commit,
-            )
-        for index in serial:
-            try:
-                results[index] = _timed_call(
-                    tel, task, configs[index], index, 0, walls
-                )
-            except CampaignExecutionError:
-                raise
-            except Exception as exc:
-                failed[index] = format_failure(exc)
-            else:
-                commit(index, results[index])
-        for index in pending:
-            attempts[index] = 1
-
-        # Retry rounds: serial, in index order, so a healed sweep is
-        # deterministic regardless of what failed where.
-        retry_series = (
-            tel.registry.counter(
-                "runner.retries_total", help="campaign retry attempts"
-            ).series()
-            if tel.metrics
-            else None
-        )
-        for retry in range(1, retries + 1):
-            if not failed:
-                break
-            for index in sorted(failed):
-                attempts[index] += 1
-                if retry_series is not None:
-                    retry_series.value += 1.0
-                try:
-                    results[index] = _timed_call(
-                        tel, task, configs[index], index, retry, walls
-                    )
-                except CampaignExecutionError:
-                    raise
-                except Exception as exc:
-                    failed[index] = format_failure(exc)
-                else:
-                    del failed[index]
-                    recovered += 1
-                    commit(index, results[index])
-
+    outcome = backend.run(
+        pending, task, retries=retries, timeout=timeout, on_done=done
+    )
     failures = [
         CampaignFailure(
             index=index,
-            seed=configs[index].seed,
-            error_type=failed[index][0],
-            message=failed[index][1],
-            traceback=failed[index][2],
-            attempts=attempts.get(index, 1),
-            attempt_wall_seconds=walls.get(index, []),
-            watchdog_seconds=watchdogs.get(index),
-            phone_range=configs[index].fleet.phone_range,
+            seed=config.seed,
+            error_type=info[0],
+            message=info[1],
+            traceback=info[2],
+            attempts=attempts,
+            attempt_wall_seconds=outcome.walls.get(index, []),
+            watchdog_seconds=outcome.watchdog,
+            phone_range=config.fleet.phone_range,
         )
-        for index in sorted(failed)
+        for index, (config, info, attempts) in sorted(outcome.failed.items())
     ]
+    recovered = sum(
+        1 for index in outcome.completed if len(outcome.walls[index]) > 1
+    )
     return SweepManifest(
         summaries=results, failures=failures, recovered=recovered
     )

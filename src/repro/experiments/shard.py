@@ -21,17 +21,20 @@ one logical campaign into deterministic per-phone-range shards:
   :class:`CampaignSummary` that is **bit-identical** to the summary a
   monolithic run of the same config produces, for *any* tiling of the
   fleet (the streaming accumulators replay the batch pipeline's
-  aggregation orders exactly); :func:`merge_shard_files` is the
-  spill-to-disk variant that folds committed shard files one at a time
-  from disk, keeping the parent's peak memory flat in shard count;
-* :func:`run_sharded_campaign` wires it all through a pluggable
-  executor backend (:mod:`repro.experiments.executors`): ``"pool"``
-  rides the classic process-pool runner, ``"workqueue"`` runs
-  work-stealing queue workers that durably commit every shard to the
-  cache *before* acknowledging it — which is what makes a mega-fleet
-  run resumable: after ``kill -9`` mid-run, a restart replans around
-  the committed ranges (:func:`scan_committed_shards`), recomputes
-  only the gaps, and produces a bit-identical summary.
+  aggregation orders exactly); :func:`merge_shard_files` folds
+  committed shard files one at a time from disk, keeping the parent's
+  peak memory flat in shard count;
+* the **committed-shard ledger** — :func:`read_committed_shard` (the
+  one validator of a committed file) and :func:`adopt_disjoint` (the
+  one rule choosing non-overlapping ranges) — is shared by the resume
+  scan, the live fold (:mod:`repro.observability.live`), and the final
+  merge;
+* :func:`run_sharded_campaign` runs the shards on the work-queue
+  executor (:mod:`repro.experiments.executors`), whose workers durably
+  commit every shard *before* acknowledging it — which is what makes a
+  mega-fleet run resumable: after ``kill -9`` mid-run, a restart
+  replans around the committed ranges (:func:`scan_committed_shards`),
+  recomputes only the gaps, and produces a bit-identical summary.
 
 Simulation-side telemetry counters are the one deliberate exception to
 bit-identity: K shard simulators schedule K times as many periodic
@@ -70,22 +73,17 @@ from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import _sample_ingest_metrics
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
-    EXECUTOR_POOL,
     EXECUTOR_WORKQUEUE,
-    CampaignExecutionError,
-    Executor,
     ExecutorStats,
     WorkQueueExecutor,
-    get_executor,
+    resolve_executor,
 )
-from repro.experiments.runner import run_campaigns_resilient
 from repro.experiments.summary import SUMMARY_FORMAT_VERSION, CampaignSummary
 from repro.observability.metrics import merge_registries
 from repro.observability.telemetry import (
     TELEMETRY_METRICS,
     TELEMETRY_OFF,
     Telemetry,
-    current_telemetry,
 )
 from repro.phone.fleet import (
     GROUND_TRUTH_KEYS,
@@ -99,12 +97,6 @@ from repro.phone.fleet import (
 #: committed shard's heartbeat deltas fold exactly once across kill-9
 #: resume (see :mod:`repro.observability.live`).
 SHARD_FORMAT_VERSION = 3
-
-#: Merge modes for :func:`run_sharded_campaign`.
-MERGE_AUTO = "auto"
-MERGE_MEMORY = "memory"
-MERGE_STREAMING = "streaming"
-MERGE_MODES = (MERGE_AUTO, MERGE_MEMORY, MERGE_STREAMING)
 
 _SHARD_KEYS = ("phone_range", "config", "accumulator", "ground_truth", "ingest")
 
@@ -353,12 +345,9 @@ class ShardTask:
     straight into the streaming accumulators, so its memory footprint
     is one shard's records plus constant-size partials.  With
     ``telemetry_level`` set, each invocation installs a fresh
-    :class:`Telemetry` (pooled workers never share registries) and the
+    :class:`Telemetry` (workers never share registries) and the
     snapshot rides home inside the :class:`ShardResult`.
     """
-
-    #: The runner may pass the attempt number; it does not change rolls.
-    accepts_attempt = False
 
     def __init__(
         self,
@@ -480,7 +469,7 @@ def shard_cache(directory: str) -> CampaignCache:
     return CampaignCache(directory, loader=ShardResult.from_dict)
 
 
-# -- committed shards on disk (resume + streaming merge) ------------------------
+# -- the committed-shard ledger (resume, live fold, final merge) ---------------
 
 
 @dataclass(frozen=True)
@@ -495,13 +484,17 @@ def load_shard_file(path: str) -> ShardResult:
     """Read one committed shard cache entry back from disk.
 
     Raises :class:`ValueError` (with the path) on anything untrusted:
-    unreadable bytes, a foreign entry, a truncated payload.
+    unreadable bytes, a foreign or stale entry, a truncated payload.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             entry = json.load(handle)
         if not isinstance(entry, dict):
             raise ValueError("entry is not an object")
+        if entry.get("format_version") != SUMMARY_FORMAT_VERSION:
+            raise ValueError(
+                f"cache entry format {entry.get('format_version')!r}"
+            )
         return ShardResult.from_dict(entry["summary"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"unreadable shard file {path!r}: {exc}") from None
@@ -516,20 +509,46 @@ def _campaign_identity(config_dict: Dict[str, Any]) -> Dict[str, Any]:
     return identity
 
 
+def read_committed_shard(path: str, campaign: Dict[str, Any]) -> ShardResult:
+    """Load a committed shard file that belongs to ``campaign``.
+
+    ``campaign`` is the unsharded campaign's ``CampaignConfig.to_dict()``.
+    The one validator every reader of committed shards goes through:
+    raises :class:`ValueError` unless the file loads cleanly, its config
+    with the slice erased *is* ``campaign`` (so another campaign's
+    shards in the same directory are never adopted), its declared
+    ``phone_range`` equals the payload's, and the range lies inside the
+    fleet.  A rejected range simply stays uncovered and is recomputed,
+    so a torn, foreign, or stale entry can never poison a result.
+    """
+    result = load_shard_file(path)
+    if _campaign_identity(result.config) != campaign:
+        raise ValueError(f"shard file {path!r} belongs to another campaign")
+    declared = (result.config.get("fleet") or {}).get("phone_range")
+    if declared != list(result.phone_range):
+        raise ValueError(
+            f"shard file {path!r} declares {declared!r} but holds "
+            f"{result.phone_range!r}"
+        )
+    if result.phone_range[1] > campaign["fleet"]["phone_count"]:
+        raise ValueError(
+            f"shard file {path!r} covers {result.phone_range!r}, beyond "
+            f"the fleet"
+        )
+    return result
+
+
 def scan_committed_shards(
     cache: CampaignCache, config: CampaignConfig
 ) -> List[CommittedShard]:
-    """Find every durably committed shard of ``config`` in the cache.
+    """Every committed shard of ``config`` in the cache, by range start.
 
-    Used by the resume path after a crash: entries are matched by
-    campaign identity (the shard's config with its ``phone_range``
-    erased must equal the unsharded campaign config), fully validated
-    through :meth:`ShardResult.from_dict`, and anything unreadable,
-    foreign, or stale is skipped — its range simply stays uncovered
-    and gets recomputed, so a torn or corrupt entry can never poison a
-    resumed summary.  Results come back ordered by range start.
+    Used by the resume path after a crash; each file goes through
+    :func:`read_committed_shard` and anything it rejects is skipped.
+    The result may hold overlapping ranges (interrupted runs with
+    different tilings); :func:`adopt_disjoint` picks among them.
     """
-    base = config.to_dict()
+    campaign = config.to_dict()
     try:
         names = sorted(os.listdir(cache.directory))
     except OSError:
@@ -540,52 +559,50 @@ def scan_committed_shards(
             continue
         path = os.path.join(cache.directory, name)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            if not isinstance(entry, dict):
-                continue
-            if entry.get("format_version") != SUMMARY_FORMAT_VERSION:
-                continue
-            result = ShardResult.from_dict(entry["summary"])
-        except (OSError, ValueError, KeyError, TypeError):
-            continue
-        if _campaign_identity(result.config) != base:
-            continue
-        declared = (result.config.get("fleet") or {}).get("phone_range")
-        if declared is None or tuple(result.phone_range) != (
-            int(declared[0]),
-            int(declared[1]),
-        ):
-            continue
-        if result.phone_range[1] > config.fleet.phone_count:
+            result = read_committed_shard(path, campaign)
+        except ValueError:
             continue
         found.append(CommittedShard(result.phone_range, path))
     found.sort(key=lambda c: c.phone_range)
     return found
 
 
+def adopt_disjoint(
+    shards: Iterable[CommittedShard],
+    taken: Sequence[Tuple[int, int]] = (),
+) -> List[CommittedShard]:
+    """The one adoption rule for committed ranges.
+
+    Committed ranges may overlap across interrupted runs with different
+    tilings (a steal-split half next to the full shard it came from).
+    A greedy pass in earliest-start, longest-first order keeps each
+    shard that overlaps neither ``taken`` nor an earlier pick, so every
+    phone is folded at most once.  Returns the picks by range start.
+    """
+    ranges = list(taken)
+    chosen: List[CommittedShard] = []
+    for shard in sorted(
+        shards, key=lambda c: (c.phone_range[0], -c.phone_range[1], c.path)
+    ):
+        start, stop = shard.phone_range
+        if any(start < b_stop and b_start < stop for b_start, b_stop in ranges):
+            continue
+        ranges.append((start, stop))
+        chosen.append(shard)
+    return chosen
+
+
 def _resume_plan(
     committed: Sequence[CommittedShard], phone_count: int
 ) -> Tuple[List[CommittedShard], List[Tuple[int, int]]]:
-    """Choose reusable committed shards and the gaps left to compute.
-
-    Committed ranges may overlap across interrupted runs with different
-    tilings (a steal-split half next to the full shard it came from);
-    a greedy earliest-start pass keeps a non-overlapping subset and
-    everything it does not cover becomes a gap to recompute.
-    """
-    chosen: List[CommittedShard] = []
+    """Choose reusable committed shards and the gaps left to compute."""
+    chosen = adopt_disjoint(committed)
     cursor = 0
     gaps: List[Tuple[int, int]] = []
-    for shard in sorted(
-        committed, key=lambda c: (c.phone_range[0], -c.phone_range[1])
-    ):
+    for shard in chosen:
         start, stop = shard.phone_range
-        if start < cursor:
-            continue
         if start > cursor:
             gaps.append((cursor, start))
-        chosen.append(shard)
         cursor = stop
     if cursor < phone_count:
         gaps.append((cursor, phone_count))
@@ -627,15 +644,15 @@ def _merge_stream(
 ) -> MergedCampaign:
     """Fold shard results — in ascending range order — one at a time.
 
-    The single incremental pass behind both merge modes: tiling is
+    The single incremental pass behind every merge: tiling is
     validated as the cursor advances (no gap, no overlap, exact
     coverage of ``[0, phone_count)``), the accumulator merge is a
     left fold (order-independent by construction, see
     :mod:`repro.analysis.streaming`), and the ground-truth float fold
     continues in place so chunked folding is bit-identical to one big
-    fold.  Peak memory is the merged accumulator plus **one** shard —
-    never all K — which is what keeps the streaming parent flat in
-    shard count.
+    fold.  Peak memory is the merged accumulator plus **one** shard
+    when ``results`` is lazy — never all K — which is what keeps the
+    parent flat in shard count.
     """
     expected = 0
     accumulator: Optional[CampaignAccumulator] = None
@@ -714,29 +731,27 @@ def merge_shard_files(
 ) -> MergedCampaign:
     """Streaming (spill-to-disk) merge: fold shard files one at a time.
 
-    The memory-mode merge holds every :class:`ShardResult` at once, so
-    the parent pays O(K · shard) during the fold.  This variant reads
-    each committed file from disk only when the cursor reaches its
-    range and drops it as soon as it is folded in, so parent peak RSS
-    is flat in shard count — the property ``BENCH_megafleet.json``
-    pins across K ∈ {8, 32}.
+    Each committed file is read — through the ledger's
+    :func:`read_committed_shard`, so a file of another campaign or of
+    another range than listed is refused — only when the cursor
+    reaches its range, and dropped as soon as it is folded in, so
+    parent peak RSS is flat in shard count — the property
+    ``BENCH_megafleet.json`` pins across K ∈ {8, 32}.
     """
+    campaign = config.to_dict()
     ordered = sorted(shard_files, key=lambda c: c.phone_range)
 
     def load() -> Iterator[ShardResult]:
         for committed in ordered:
-            yield load_shard_file(committed.path)
+            result = read_committed_shard(committed.path, campaign)
+            if result.phone_range != tuple(committed.phone_range):
+                raise ValueError(
+                    f"shard file {committed.path!r} holds "
+                    f"{result.phone_range!r}, not {committed.phone_range!r}"
+                )
+            yield result
 
     return _merge_stream(load(), config)
-
-
-def merge_ingest_reports(results: Sequence[ShardResult]) -> IngestReport:
-    """Fold the shards' quarantine accounting, in phone-range order."""
-    ordered = sorted(results, key=lambda r: r.phone_range[0])
-    report = IngestReport()
-    for result in ordered:
-        report = report.merge(result.ingest)
-    return report
 
 
 @dataclass
@@ -749,10 +764,8 @@ class MegafleetResult:
     shard_ranges: List[Tuple[int, int]]
     #: Merged quarantine accounting across every shard.
     ingest: IngestReport
-    #: Which executor backend ran the shards.
-    executor: str = EXECUTOR_POOL
-    #: How the shards were merged (``memory`` or ``streaming``).
-    merge_mode: str = MERGE_MEMORY
+    #: Which executor ran the shards.
+    executor: str = EXECUTOR_WORKQUEUE
     #: Steal / retry / resume / restart tallies for the run.
     stats: ExecutorStats = field(default_factory=ExecutorStats)
     #: Aggregate simulator events fired across every shard.
@@ -768,7 +781,6 @@ class MegafleetResult:
             "shard_ranges": [list(r) for r in self.shard_ranges],
             "ingest": self.ingest.to_dict(),
             "executor": self.executor,
-            "merge_mode": self.merge_mode,
             "counters": self.stats.to_dict(),
             "events_fired": self.events_fired,
         }
@@ -809,8 +821,7 @@ def run_sharded_campaign(
     telemetry_level: Optional[str] = None,
     retries: int = 0,
     timeout: Optional[float] = None,
-    executor: Union[str, Executor, None] = None,
-    merge: str = MERGE_AUTO,
+    executor: Union[str, WorkQueueExecutor] = EXECUTOR_WORKQUEUE,
     spill_dir: Optional[str] = None,
     weights: Optional[Sequence[float]] = None,
     live: bool = False,
@@ -818,15 +829,17 @@ def run_sharded_campaign(
 ) -> MegafleetResult:
     """Run one logical campaign as ``shards`` independent slices.
 
-    Backends (``executor``):
-
-    * ``"pool"`` (default) — shards fan out over the standard campaign
-      runner: static process-pool assignment, cache integration,
-      retries, hung-worker watchdog.
-    * ``"workqueue"`` — work-stealing queue workers; every completed
-      shard is durably committed to the cache (or a spill directory)
-      *before* it is acknowledged, so ``kill -9`` mid-run loses only
-      in-flight shards.
+    The shards run on the work-queue executor (``executor`` is
+    ``"workqueue"`` or a configured :class:`WorkQueueExecutor`):
+    ``workers`` processes steal from long-tailed ranges, and every
+    completed shard is durably committed to the run directory *before*
+    it is acknowledged, so ``kill -9`` mid-run loses only in-flight
+    shards.  The run directory is the ``cache``'s, else ``spill_dir``,
+    else a private temp dir removed after the merge.  The merge folds
+    the committed files one at a time (:func:`merge_shard_files`), so
+    parent peak RSS is flat in shard count, and the merged summary is
+    bit-identical to the monolithic run (telemetry counters aside; see
+    module docs).
 
     With a ``cache``, any run first scans for shards already committed
     by an earlier (possibly killed) run of the same campaign, counts
@@ -834,189 +847,81 @@ def run_sharded_campaign(
     after a crash converges on the same bit-identical summary as an
     uninterrupted run.
 
-    ``merge`` selects how the fold back into one
-    :class:`CampaignSummary` happens: ``"memory"`` holds every shard
-    result at once; ``"streaming"`` (workqueue only — results must be
-    on disk) folds committed files one at a time so parent peak RSS is
-    flat in shard count.  ``"auto"`` picks streaming for the workqueue
-    backend and memory otherwise.  Either way the merged summary is
-    bit-identical to the monolithic run (telemetry counters aside; see
-    module docs).
-
     ``live=True`` turns on the live telemetry plane: workers heartbeat
-    into a durable op-log under ``<run-dir>/live/``, the workqueue
-    coordinator folds it into rolling KPIs (invoking ``progress`` with
-    each :class:`~repro.observability.live.LiveSnapshot` and writing a
+    into a durable op-log under ``<run-dir>/live/``, the coordinator
+    folds it into rolling KPIs (invoking ``progress`` with each
+    :class:`~repro.observability.live.LiveSnapshot` and writing a
     ``metrics.prom`` exposition snapshot), and ``repro monitor`` can
     watch the run — or its corpse — from another terminal.  Live mode
     observes intrinsic state only; the merged result is bit-identical
     to a non-live run.
     """
-    if merge not in MERGE_MODES:
-        raise ValueError(f"unknown merge mode {merge!r}; expected {MERGE_MODES}")
-    if isinstance(executor, Executor):
-        backend = executor
-    elif (executor or EXECUTOR_POOL) == EXECUTOR_WORKQUEUE:
-        # Built directly (not via get_executor) so workers=1 still runs
-        # the durable-commit path instead of degrading to serial.
-        backend = WorkQueueExecutor(workers)
-    else:
-        backend = get_executor(executor, workers)
-    queue_backend = isinstance(backend, WorkQueueExecutor)
-    merge_mode = merge
-    if merge_mode == MERGE_AUTO:
-        merge_mode = MERGE_STREAMING if queue_backend else MERGE_MEMORY
-    if merge_mode == MERGE_STREAMING and not queue_backend:
-        raise ValueError(
-            "streaming merge needs shard results on disk; use the "
-            "'workqueue' executor"
-        )
-
-    plan_configs = plan_shards(config, shards, weights=weights)
-    tel = current_telemetry()
-
+    backend = resolve_executor(executor, workers)
+    task_configs = plan_shards(config, shards, weights=weights)
     committed: List[CommittedShard] = []
     if cache is not None:
-        chosen, gaps = _resume_plan(
+        committed, gaps = _resume_plan(
             scan_committed_shards(cache, config), config.fleet.phone_count
         )
-        committed = chosen
-        if chosen:
-            backend.stats.resumed_shards += len(chosen)
-            cache.hits += len(chosen)
+        if committed:
+            backend.stats.resumed_shards += len(committed)
+            cache.hits += len(committed)
             target = -(-config.fleet.phone_count // shards)
             task_configs = [
                 _slice_config(config, start, stop)
                 for start, stop in _plan_gap_ranges(gaps, target)
             ]
-        else:
-            task_configs = plan_configs
+        cache.misses += len(task_configs)
+
+    temp_dir: Optional[str] = None
+    if cache is not None:
+        commit_dir = cache.directory
+    elif spill_dir is not None:
+        commit_dir = spill_dir
     else:
-        task_configs = plan_configs
-
-    live_root: Optional[str] = None
-    live_dir: Optional[str] = None
-    if live:
-        from repro.observability.live import live_dir_for
-
-        if cache is not None:
-            live_root = cache.directory
-        elif spill_dir is not None:
-            live_root = spill_dir
-        elif not queue_backend:
-            raise ValueError(
-                "live mode needs a durable run directory: pass a cache "
-                "(or spill_dir), or use the 'workqueue' executor"
-            )
-        if live_root is not None:
-            live_dir = live_dir_for(live_root)
-
-    task = ShardTask(
-        pipeline=pipeline,
-        telemetry_level=telemetry_level,
-        plan=plan,
-        live_dir=live_dir,
-    )
-
-    if queue_backend:
-        temp_dir: Optional[str] = None
-        if cache is not None:
-            commit_dir = cache.directory
-        elif spill_dir is not None:
-            commit_dir = spill_dir
-        else:
-            commit_dir = temp_dir = tempfile.mkdtemp(prefix="repro-shards-")
-        if live and live_dir is None:
+        commit_dir = temp_dir = tempfile.mkdtemp(prefix="repro-shards-")
+    try:
+        live_dir: Optional[str] = None
+        if live:
             from repro.observability.live import live_dir_for
 
-            live_root = commit_dir
             live_dir = live_dir_for(commit_dir)
-            task.live_dir = live_dir
-        if live_dir is not None:
-            _announce_campaign(live_dir, config, shards, workers, backend.name)
-        try:
-            completed: List[Tuple[Tuple[int, int], CampaignConfig]] = []
-            if task_configs:
-                if cache is not None:
-                    cache.misses += len(task_configs)
-                completed = backend.execute_shards(
-                    [
-                        (cfg.fleet.resolved_range(), cfg)
-                        for cfg in task_configs
-                    ],
-                    task,
-                    commit_dir,
-                    tel=tel,
-                    retries=retries,
-                    timeout=timeout,
-                    splitter=split_shard_config,
-                    size_fn=shard_config_size,
-                    live_dir=live_dir,
-                    progress=progress,
-                )
-            commit_cache = CampaignCache(commit_dir)
-            shard_files = committed + [
-                CommittedShard(rng, commit_cache.path_for(cfg))
-                for rng, cfg in completed
-            ]
-            if merge_mode == MERGE_STREAMING:
-                merged = merge_shard_files(shard_files, config)
-            else:
-                loaded = [load_shard_file(c.path) for c in shard_files]
-                merged = _merge_stream(
-                    iter(sorted(loaded, key=lambda r: r.phone_range[0])),
-                    config,
-                )
-        finally:
-            if temp_dir is not None:
-                shutil.rmtree(temp_dir, ignore_errors=True)
-    else:
-        if live_dir is not None:
-            _announce_campaign(live_dir, config, shards, workers, backend.name)
-        manifest = run_campaigns_resilient(
-            task_configs,
-            workers=workers,
-            cache=cache,
-            task=task,
+            _announce_campaign(
+                live_dir, config, shards, backend.workers, backend.name
+            )
+        completed = backend.execute_shards(
+            [(cfg.fleet.resolved_range(), cfg) for cfg in task_configs],
+            ShardTask(
+                pipeline=pipeline,
+                telemetry_level=telemetry_level,
+                plan=plan,
+                live_dir=live_dir,
+            ),
+            commit_dir,
             retries=retries,
             timeout=timeout,
-            executor=backend,
+            splitter=split_shard_config,
+            size_fn=shard_config_size,
+            live_dir=live_dir,
+            progress=progress,
         )
-        if manifest.failures:
-            first = manifest.failures[0]
-            raise CampaignExecutionError(
-                first.index,
-                first.seed,
-                f"{first.error_type}: {first.message}",
-                traceback=first.traceback,
-                attempts=first.attempts,
-                phone_range=first.phone_range,
-            )
-        backend.stats.task_retries += manifest.recovered
-        results = list(manifest.completed_summaries()) + [
-            load_shard_file(c.path) for c in committed
-        ]
-        merged = _merge_stream(
-            iter(sorted(results, key=lambda r: r.phone_range[0])), config
+        commit_cache = CampaignCache(commit_dir)
+        merged = merge_shard_files(
+            committed
+            + [
+                CommittedShard(rng, commit_cache.path_for(cfg))
+                for rng, cfg in completed
+            ],
+            config,
         )
-
-    backend.stats.sample(tel)
-    if live and live_root is not None:
-        # One final authoritative fold so metrics.prom and the op-log
-        # view agree with the completed run even for non-workqueue
-        # backends (which have no folding coordinator loop).
-        from repro.observability.live import LiveFolder, write_prom_snapshot
-
-        snapshot = LiveFolder(live_root).fold()
-        write_prom_snapshot(live_root, snapshot)
-        if progress is not None:
-            progress(snapshot)
+    finally:
+        if temp_dir is not None:
+            shutil.rmtree(temp_dir, ignore_errors=True)
     return MegafleetResult(
         summary=merged.summary,
         shard_ranges=merged.shard_ranges,
         ingest=merged.ingest,
         executor=backend.name,
-        merge_mode=merge_mode,
         stats=backend.stats,
         events_fired=merged.events_fired,
     )

@@ -88,6 +88,11 @@ def _peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
+def _due(last: Optional[float], now: float, interval: float) -> bool:
+    """Whether ``interval`` has passed since ``last`` (``None``: never)."""
+    return last is None or now - last >= interval
+
+
 # -- writer ---------------------------------------------------------------------
 
 
@@ -104,7 +109,8 @@ class OpLogWriter:
     is serialized to a single line and written with one ``os.write`` on
     an ``O_APPEND`` descriptor — visible to readers atomically,
     mirroring the commit-before-ack discipline of the shard cache at
-    the granularity of one record.
+    the granularity of one record.  ``clock`` (monotonic seconds)
+    drives heartbeat throttling.
     """
 
     def __init__(
@@ -112,12 +118,14 @@ class OpLogWriter:
         live_dir: str,
         role: str = "worker",
         min_interval: float = DEFAULT_FLUSH_INTERVAL,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         global _writer_serial
         os.makedirs(live_dir, exist_ok=True)
         self.live_dir = live_dir
         self.role = role
         self.min_interval = min_interval
+        self.clock = clock
         self._epoch_ms = int(time.time() * 1000.0)
         _writer_serial += 1
         self._uid = f"{os.getpid()}.{self._epoch_ms}.{_writer_serial}"
@@ -129,7 +137,7 @@ class OpLogWriter:
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
         self._streams = 0
-        self._last_flush = 0.0
+        self._last_flush: Optional[float] = None
         #: Active stream state (one stream at a time per writer).
         self.stream_id: Optional[str] = None
         self.seq = 0
@@ -170,7 +178,7 @@ class OpLogWriter:
         self.seq = 0
         self._registry = registry
         self._metrics_base = registry.to_dict() if registry is not None else {}
-        self._last_flush = 0.0
+        self._last_flush = None
         self.record(
             "start",
             stream=self.stream_id,
@@ -197,8 +205,8 @@ class OpLogWriter:
         """
         if self.stream_id is None:
             return False
-        now = time.monotonic()
-        if throttled and now - self._last_flush < self.min_interval:
+        now = self.clock()
+        if throttled and not _due(self._last_flush, now, self.min_interval):
             return False
         self._last_flush = now
         self.seq += 1
@@ -223,10 +231,9 @@ class OpLogWriter:
             self.begin_stream(
                 fleet.config.resolved_range(), fleet.config.duration
             )
-        now = time.monotonic()
-        if now - self._last_flush < self.min_interval:
+        if not _due(self._last_flush, self.clock(), self.min_interval):
             return False
-        freezes = shutdowns = panics = boots = 0
+        freezes = panics = boots = 0
         for instance in fleet.phones:
             freezes += instance.device.freeze_count
             boots += instance.device.boot_count
@@ -415,7 +422,7 @@ class LiveSnapshot:
 class _StreamState:
     """Fold state for one op-log stream."""
 
-    __slots__ = ("latest", "max_seq", "samples", "metrics", "role")
+    __slots__ = ("latest", "max_seq", "samples", "metrics", "role", "first_wall")
 
     def __init__(self) -> None:
         self.latest: Dict[str, Any] = {}
@@ -425,6 +432,8 @@ class _StreamState:
         #: Telemetry deltas folded at most once per (stream, seq).
         self.metrics = MetricsRegistry()
         self.role = "worker"
+        #: Wall time of the stream's first record (when it began).
+        self.first_wall: Optional[float] = None
 
     def fold(self, record: Dict[str, Any]) -> None:
         seq = record.get("seq")
@@ -444,6 +453,8 @@ class _StreamState:
             self.role = record.get("role", "worker")
         events = record.get("events_fired")
         wall = record.get("wall")
+        if isinstance(wall, (int, float)) and self.first_wall is None:
+            self.first_wall = float(wall)
         if isinstance(events, (int, float)) and isinstance(wall, (int, float)):
             self.samples.append((float(wall), float(events)))
             if len(self.samples) > 512:
@@ -473,12 +484,22 @@ def _windowed_rate(
 class LiveFolder:
     """Tails a run directory's op-log and folds it into KPI snapshots.
 
+    A fold describes the directory's latest campaign: the op-log
+    ``campaign`` record with the greatest wall time names it, op-log
+    streams that began before that record belong to an earlier run,
+    and committed shard files are adopted through the shard ledger
+    (:func:`~repro.experiments.shard.read_committed_shard` checks each
+    file against the campaign's config,
+    :func:`~repro.experiments.shard.adopt_disjoint` picks disjoint
+    ranges — the resume planner's rules).  Until a campaign record
+    appears, no shard is adopted.
+
     Incremental: op-log files are read from their last offset, and each
     committed shard file is loaded and folded into the streaming
     accumulators exactly once.  Folding is exactly-once under resume —
-    a range is adopted at most once (greedy earliest-start tiling, the
-    resume planner's rule), and a committed shard's op-log stream is
-    excluded from the live-delta merge via its wire-carried stream id.
+    a range is adopted at most once, and a committed shard's op-log
+    stream is excluded from the live-delta merge via its wire-carried
+    stream id.
     """
 
     def __init__(self, run_dir: str, window: float = 60.0) -> None:
@@ -489,15 +510,22 @@ class LiveFolder:
         self._campaign: Dict[str, Any] = {}
         self._coordinator: Dict[str, Any] = {}
         self._first_wall: Optional[float] = None
-        #: Committed-shard fold state.
+        self._trend: List[float] = []
+        self._reset_committed(None)
+
+    def _reset_committed(self, campaign: Optional[Dict[str, Any]]) -> None:
+        """Start the committed-shard fold over for ``campaign``'s config."""
+        self._ledger_campaign = campaign
         self._folded_files: set = set()
+        #: Rejected files by name -> mtime: commits land by atomic
+        #: rename, so a file is re-read only once it has been replaced.
+        self._rejected: Dict[str, int] = {}
         self._accumulator = None  # merged CampaignAccumulator
         self._ingest = None  # merged IngestReport
         self._committed_ranges: List[Tuple[int, int]] = []
         self._committed_events = 0
         self._committed_streams: set = set()
         self._committed_metrics: List[Dict[str, Any]] = []
-        self._trend: List[float] = []
 
     # -- op-log ------------------------------------------------------------------
 
@@ -505,13 +533,16 @@ class LiveFolder:
         for record in self.reader.read_new():
             kind = record.get("kind")
             wall = record.get("wall")
-            if isinstance(wall, (int, float)):
-                if self._first_wall is None or wall < self._first_wall:
-                    self._first_wall = wall
+            if not isinstance(wall, (int, float)):
+                wall = 0.0
+            elif self._first_wall is None or wall < self._first_wall:
+                self._first_wall = wall
             if kind == "campaign":
-                self._campaign = record
+                if wall >= self._campaign.get("wall", wall):
+                    self._campaign = record
             elif kind == "coordinator":
-                self._coordinator = record
+                if wall >= self._coordinator.get("wall", wall):
+                    self._coordinator = record
             elif kind in ("start", "heartbeat", "end"):
                 stream = record.get("stream")
                 if not isinstance(stream, str):
@@ -524,37 +555,46 @@ class LiveFolder:
     # -- committed shards --------------------------------------------------------
 
     def _scan_committed(self) -> None:
-        """Fold newly committed shard files, adopting disjoint ranges."""
+        """Fold newly committed shard files of the campaign, once each."""
         # Imported lazily: experiments.shard imports the fleet, which
         # imports this module's writer hook.
-        from repro.experiments.shard import load_shard_file
+        from repro.experiments.shard import (
+            CommittedShard,
+            adopt_disjoint,
+            read_committed_shard,
+        )
 
-        if not os.path.isdir(self.run_dir):
+        campaign = self._campaign.get("config")
+        if not isinstance(campaign, dict) or not os.path.isdir(self.run_dir):
             return
-        fresh = []
+        if campaign != self._ledger_campaign:
+            self._reset_committed(campaign)
+        fresh: Dict[str, Any] = {}
         for name in sorted(os.listdir(self.run_dir)):
             if not name.endswith(".json") or name in self._folded_files:
                 continue
             path = os.path.join(self.run_dir, name)
             try:
-                result = load_shard_file(path)
-            except (ValueError, KeyError, OSError):
-                continue  # foreign, corrupt, or still being written
-            fresh.append((result.phone_range, name, result))
-        # Greedy earliest-start adoption, the resume planner's rule:
-        # overlapping commits (possible only across re-tiled attempts)
-        # fold at most one shard per phone.
-        for (start, stop), name, result in sorted(
-            fresh, key=lambda item: (item[0][0], -item[0][1], item[1])
-        ):
-            covered = any(
-                start < c_stop and c_start < stop
-                for c_start, c_stop in self._committed_ranges
-            )
-            self._folded_files.add(name)
-            if covered:
+                stamp = os.stat(path).st_mtime_ns
+            except OSError:
                 continue
-            self._committed_ranges.append((start, stop))
+            if self._rejected.get(name) == stamp:
+                continue
+            try:
+                fresh[name] = read_committed_shard(path, campaign)
+            except ValueError:
+                self._rejected[name] = stamp  # another campaign's, or corrupt
+        self._folded_files.update(fresh)
+        adopted = adopt_disjoint(
+            [
+                CommittedShard(result.phone_range, name)
+                for name, result in fresh.items()
+            ],
+            taken=self._committed_ranges,
+        )
+        for shard in adopted:
+            result = fresh[shard.path]
+            self._committed_ranges.append(result.phone_range)
             self._committed_events += result.events_fired
             if result.stream:
                 self._committed_streams.add(result.stream)
@@ -629,7 +669,14 @@ class LiveFolder:
         equivalent = float(snapshot.committed_phones)
         rate = 0.0
         live_metrics: List[Dict[str, Any]] = list(self._committed_metrics)
+        began = self._campaign.get("wall")
         for stream_id, state in sorted(self._streams.items()):
+            if (
+                isinstance(began, (int, float))
+                and state.first_wall is not None
+                and state.first_wall < began
+            ):
+                continue  # an earlier run's stream
             phone_range = state.latest.get("phone_range")
             span: Optional[Tuple[int, int]] = None
             if (
@@ -719,6 +766,7 @@ class LiveCoordinator:
         progress: Optional["ProgressCallback"] = None,
         beat_interval: float = 0.5,
         fold_interval: float = 2.0,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.run_dir = os.path.dirname(os.path.abspath(live_dir))
         self.writer = OpLogWriter(live_dir, role="coordinator")
@@ -727,8 +775,9 @@ class LiveCoordinator:
         self.progress = progress
         self.beat_interval = beat_interval
         self.fold_interval = fold_interval
-        self._last_beat = 0.0
-        self._last_fold = 0.0
+        self.clock = clock
+        self._last_beat: Optional[float] = None
+        self._last_fold: Optional[float] = None
 
     def tick(
         self,
@@ -737,8 +786,8 @@ class LiveCoordinator:
         workers: int = 0,
         force: bool = False,
     ) -> Optional[LiveSnapshot]:
-        now = time.monotonic()
-        if force or now - self._last_beat >= self.beat_interval:
+        now = self.clock()
+        if force or _due(self._last_beat, now, self.beat_interval):
             self._last_beat = now
             fields: Dict[str, Any] = {
                 "pending": pending,
@@ -755,7 +804,7 @@ class LiveCoordinator:
                     watchdog_fires=self.stats.watchdog_fires,
                 )
             self.writer.coordinator(**fields)
-        if force or now - self._last_fold >= self.fold_interval:
+        if force or _due(self._last_fold, now, self.fold_interval):
             self._last_fold = now
             snapshot = self.folder.fold()
             write_prom_snapshot(self.run_dir, snapshot)

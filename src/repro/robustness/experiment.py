@@ -335,7 +335,7 @@ def run_resilience_probe(
 ) -> ResilienceProbe:
     """Exercise the worker- and cache-layer defenses in one sweep.
 
-    Runs ``seeds`` campaigns through the pooled runner with a
+    Runs ``seeds`` campaigns through the sweep runner with a
     :class:`FaultyCampaignTask` (injected crashes/stalls, healed by
     retry and the watchdog), then corrupts every cache entry in place
     and sweeps again — the cache must evict the garbage, recompute, and

@@ -221,16 +221,16 @@ class WorkerFaultError(ReproError):
 
 
 class FaultyCampaignTask:
-    """A pooled-runner task that crashes or stalls on schedule.
+    """A sweep-runner task that crashes or stalls on schedule.
 
     Rolls are keyed on ``(plan seed, campaign seed, attempt)``, so a
     campaign that crashes on its first attempt usually succeeds on
-    retry — exactly the transient-worker failure the runner's
+    retry — exactly the transient-worker failure the executor's
     self-healing (per-campaign retry + watchdog) is built to absorb.
-    Instances are picklable and cross the process-pool boundary.
+    Instances are picklable and cross the worker-process boundary.
     """
 
-    #: The runner passes the attempt number to tasks that declare this.
+    #: The executor passes the attempt number to tasks that declare this.
     accepts_attempt = True
 
     def __init__(self, plan: FaultPlan) -> None:

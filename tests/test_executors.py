@@ -1,11 +1,11 @@
-"""The pluggable executor layer: backends, stealing, and crash healing.
+"""The work-queue executor: stealing, retries, and crash healing.
 
 :mod:`repro.experiments.executors` promises that *how* campaigns run —
-serial loop, static process pool, work-stealing queue workers — never
-changes *what* they produce.  These tests pin backend resolution, the
-bit-identity of every backend against the serial oracle, dispatch-time
-work stealing, failure identity (which phone range was in flight), and
-the coordinator's healing when a worker process is killed outright.
+in-process or on work-stealing queue workers — never changes *what*
+they produce.  These tests pin executor resolution, the bit-identity of
+worker processes against the in-process oracle, dispatch-time work
+stealing, failure identity (which phone range was in flight), and the
+coordinator's healing when a worker process is killed outright.
 """
 
 from __future__ import annotations
@@ -21,16 +21,11 @@ import pytest
 from repro.core.clock import MONTH
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
-    EXECUTOR_POOL,
-    EXECUTOR_SERIAL,
     EXECUTOR_WORKQUEUE,
-    EXECUTORS,
     CampaignExecutionError,
     ExecutorStats,
-    PoolExecutor,
-    SerialExecutor,
     WorkQueueExecutor,
-    get_executor,
+    resolve_executor,
 )
 from repro.experiments.runner import run_campaigns
 from repro.experiments.shard import (
@@ -79,21 +74,17 @@ def serial_summaries():
 # -- backend resolution ---------------------------------------------------------
 
 
-def test_get_executor_resolution():
-    assert isinstance(get_executor(None, 1), SerialExecutor)
-    assert isinstance(get_executor(None, 4), PoolExecutor)
-    assert isinstance(get_executor(EXECUTOR_SERIAL, 4), SerialExecutor)
-    # One worker cannot fan out: every name degrades to serial.
-    assert isinstance(get_executor(EXECUTOR_POOL, 1), SerialExecutor)
-    pool = get_executor(EXECUTOR_POOL, 3)
-    assert isinstance(pool, PoolExecutor) and pool.workers == 3
-    queue = get_executor(EXECUTOR_WORKQUEUE, 2)
+def test_executor_spec_resolution():
+    queue = resolve_executor(EXECUTOR_WORKQUEUE, 2)
     assert isinstance(queue, WorkQueueExecutor) and queue.workers == 2
-    # Instances pass through untouched (caller-configured backends).
+    # Instances pass through untouched (caller-configured executors).
     custom = WorkQueueExecutor(2, min_split_phones=4)
-    assert get_executor(custom, 8) is custom
+    assert resolve_executor(custom, 8) is custom
+    for name in ("pool", "serial", "threads", None):
+        with pytest.raises(ValueError, match="unknown executor"):
+            resolve_executor(name, 4)
     with pytest.raises(ValueError, match="unknown executor"):
-        get_executor("threads", 4)
+        run_campaigns([tiny_config(7)], workers=2, executor="pool")
     with pytest.raises(ValueError, match="workers"):
         WorkQueueExecutor(0)
 
@@ -128,7 +119,7 @@ def test_executor_stats_shape_and_delta_sampling():
     stats_off.sample(Telemetry(TELEMETRY_OFF))
 
 
-# -- bit-identity across backends -----------------------------------------------
+# -- bit-identity: worker processes vs in-process --------------------------------
 
 
 def test_workqueue_runner_matches_serial(serial_summaries):
@@ -144,7 +135,7 @@ def test_workqueue_runner_matches_serial(serial_summaries):
 def test_executor_instance_accepted_by_runner(serial_summaries):
     configs = [tiny_config(seed) for seed in SEEDS]
     summaries = run_campaigns(
-        configs, workers=4, executor=SerialExecutor()
+        configs, workers=1, executor=WorkQueueExecutor(2, steal=False)
     )
     assert [canonical(s) for s in summaries] == [
         canonical(s) for s in serial_summaries
@@ -182,7 +173,6 @@ def test_workqueue_steals_from_skewed_plan(tmp_path):
         [(c.fleet.resolved_range(), c) for c in plan],
         ShardTask(),
         str(tmp_path),
-        tel=Telemetry(TELEMETRY_OFF),
         splitter=split_shard_config,
         size_fn=shard_config_size,
     )
@@ -235,8 +225,7 @@ def test_workqueue_failure_carries_phone_range(tmp_path):
             [(c.fleet.resolved_range(), c) for c in plan],
             ExplodeRange(victim[0]),
             str(tmp_path),
-            tel=Telemetry(TELEMETRY_OFF),
-            retries=1,
+                retries=1,
         )
     err = excinfo.value
     assert err.phone_range == victim
@@ -249,27 +238,29 @@ def test_workqueue_failure_carries_phone_range(tmp_path):
 
 
 class MurderousTask(ShardTask):
-    """SIGKILLs its own worker process once, for one phone range.
+    """SIGKILLs its own worker process once per victim phone range.
 
-    The flag file makes the murder one-shot: the re-dispatched attempt
-    (in the respawned worker) finds the flag and completes normally.
-    Never fires in the parent process, so a serial fallback cannot
-    take the test runner down.
+    One flag file per victim makes each murder one-shot: the
+    re-dispatched attempt (in a respawned worker) finds the flag and
+    completes normally.  Never fires in the parent process, so an
+    in-process fallback cannot take the test runner down.
     """
 
-    def __init__(self, victim_start: int, flag_path: str, parent_pid: int):
+    def __init__(self, victim_starts, flag_path: str, parent_pid: int):
         super().__init__()
-        self.victim_start = victim_start
+        self.victim_starts = set(victim_starts)
         self.flag_path = flag_path
         self.parent_pid = parent_pid
 
     def __call__(self, config):
+        start = config.fleet.resolved_range()[0]
+        flag = f"{self.flag_path}.{start}"
         if (
-            config.fleet.resolved_range()[0] == self.victim_start
+            start in self.victim_starts
             and os.getpid() != self.parent_pid
-            and not os.path.exists(self.flag_path)
+            and not os.path.exists(flag)
         ):
-            with open(self.flag_path, "w", encoding="utf-8") as handle:
+            with open(flag, "w", encoding="utf-8") as handle:
                 handle.write("murdered once\n")
             os.kill(os.getpid(), signal.SIGKILL)
         return super().__call__(config)
@@ -296,20 +287,20 @@ def test_workqueue_heals_killed_worker(tmp_path):
 
     mono = CampaignSummary.from_result(run_campaign(config))
     plan = plan_shards(config, 4)
-    victim = plan[2].fleet.phone_range
+    victims = [plan[0].fleet.phone_range[0], plan[1].fleet.phone_range[0]]
     flag = str(tmp_path / "murdered.flag")
-    # One worker: when it is killed there are no survivors, so healing
-    # *must* go through a respawn (with 2+ workers a survivor may soak
-    # up the requeued shard and no restart is needed).
-    backend = WorkQueueExecutor(1, steal=False)
+    # Both workers die on their first shard, so there are no survivors
+    # and healing *must* go through a respawn (with one victim a
+    # survivor may soak up the requeued shard and no restart is needed).
+    backend = WorkQueueExecutor(2, steal=False)
     completed = backend.execute_shards(
         [(c.fleet.resolved_range(), c) for c in plan],
-        MurderousTask(victim[0], flag, os.getpid()),
+        MurderousTask(victims, flag, os.getpid()),
         str(tmp_path / "commits"),
-        tel=Telemetry(TELEMETRY_OFF),
         retries=0,
     )
-    assert os.path.exists(flag), "the murder never happened"
+    for start in victims:
+        assert os.path.exists(f"{flag}.{start}"), "a murder never happened"
     assert backend.stats.worker_restarts >= 1
     assert backend.stats.task_retries >= 1
     assert sorted(rng for rng, _cfg in completed) == sorted(
@@ -364,7 +355,6 @@ def test_workqueue_watchdog_reclaims_hung_worker(tmp_path):
         [(c.fleet.resolved_range(), c) for c in plan],
         HangOnce(victim[0], flag, os.getpid()),
         str(tmp_path / "commits"),
-        tel=Telemetry(TELEMETRY_OFF),
         retries=1,
         timeout=2.0,
     )

@@ -36,6 +36,7 @@ from repro.observability.export import (
     validate_chrome_trace,
 )
 from repro.observability.live import (
+    LiveCoordinator,
     LiveFolder,
     OpLogReader,
     OpLogWriter,
@@ -66,6 +67,16 @@ def make_config(phones: int = 20, seed: int = 4242) -> CampaignConfig:
 
 def canonical(summary_dict: dict) -> str:
     return json.dumps(summary_dict, sort_keys=True)
+
+
+class FakeClock:
+    """A monotonic clock the test moves by hand."""
+
+    def __init__(self, now: float) -> None:
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
 
 
 @pytest.fixture(scope="module")
@@ -131,15 +142,44 @@ class TestOpLog:
         kinds = [r["kind"] for r in OpLogReader(live).read_new()]
         assert kinds == ["campaign", "coordinator"]
 
-    def test_heartbeat_throttling(self, tmp_path):
+    @pytest.mark.parametrize("uptime", [0.0, 5.0, 1e6])
+    def test_heartbeat_throttling(self, tmp_path, uptime):
+        """The first heartbeat is never throttled, however young the
+        monotonic clock (a freshly booted host starts it near 0)."""
+        clock = FakeClock(uptime)
         writer = OpLogWriter(
-            str(tmp_path / "live"), role="worker", min_interval=3600.0
+            str(tmp_path / "live"), role="worker", min_interval=3600.0,
+            clock=clock,
         )
         writer.begin_stream((0, 5), 10.0)
         assert writer.heartbeat(events_fired=1)
+        clock.now += 10.0
         assert not writer.heartbeat(events_fired=2)  # throttled
         assert writer.heartbeat(throttled=False, events_fired=3)
+        clock.now += 3600.0
+        assert writer.heartbeat(events_fired=4)
         writer.close()
+
+    @pytest.mark.parametrize("uptime", [0.0, 1.0, 1e6])
+    def test_coordinator_first_tick_beats_and_folds(self, tmp_path, uptime):
+        clock = FakeClock(uptime)
+        coordinator = LiveCoordinator(
+            live_dir_for(str(tmp_path)), clock=clock
+        )
+        try:
+            assert coordinator.tick(pending=3) is not None  # folded
+            clock.now += 0.1
+            assert coordinator.tick(pending=2) is None  # throttled
+            clock.now += 2.0
+            assert coordinator.tick(pending=1) is not None
+        finally:
+            coordinator.close()
+        beats = [
+            record["pending"]
+            for record in OpLogReader(live_dir_for(str(tmp_path))).read_new()
+            if record["kind"] == "coordinator"
+        ]
+        assert beats == [3, 1]
 
     def test_install_and_current(self, tmp_path):
         assert current_live_writer() is None
@@ -375,21 +415,54 @@ class TestLiveIsPureObserver:
         assert snapshot.committed_phones == config.fleet.phone_count
         assert "phones committed" in render_dashboard(snapshot)
 
-    def test_live_pool_backend_matches(self, tmp_path, config, monolithic):
+    def test_live_in_process_matches(self, tmp_path, config, monolithic):
         result = run_sharded_campaign(
             config,
             shards=3,
-            workers=2,
+            workers=1,
             cache=shard_cache(str(tmp_path)),
             live=True,
         )
         assert canonical(result.summary.to_dict()) == canonical(
             monolithic.to_dict()
         )
+        snapshot = LiveFolder(str(tmp_path)).fold()
+        assert snapshot.committed_ranges == result.shard_ranges
 
-    def test_live_without_run_dir_is_rejected(self, config):
-        with pytest.raises(ValueError, match="durable run directory"):
-            run_sharded_campaign(config, shards=2, live=True)
+    def test_live_without_run_dir_folds_private_dir(self, config, monolithic):
+        snapshots = []
+        result = run_sharded_campaign(
+            config, shards=2, workers=2, live=True, progress=snapshots.append
+        )
+        assert canonical(result.summary.to_dict()) == canonical(
+            monolithic.to_dict()
+        )
+        assert snapshots[-1].committed_phones == config.fleet.phone_count
+
+    def test_fold_ignores_another_campaigns_shards(self, tmp_path):
+        """Two campaigns' shards in one directory: the fold reports the
+        latest campaign's committed ranges and KPIs, never the other's
+        (a wider stale shard used to win the greedy adoption)."""
+        run_sharded_campaign(
+            make_config(seed=1), shards=2, workers=2,
+            cache=shard_cache(str(tmp_path)), live=True,
+        )
+        second = run_sharded_campaign(
+            make_config(seed=2), shards=4, workers=2,
+            cache=shard_cache(str(tmp_path)), live=True,
+        )
+        folder = LiveFolder(str(tmp_path))
+        snapshot = folder.fold()
+        assert snapshot.campaign["seed"] == 2
+        assert snapshot.committed_ranges == second.shard_ranges
+        assert snapshot.kpis["mtbf_freeze_hours"] == (
+            second.summary.availability["mtbf_freeze_hours"]
+        )
+        assert snapshot.events_fired == second.events_fired
+        # The first campaign's two shards are rejected once and skipped
+        # by later folds until a file is replaced.
+        assert len(folder._rejected) == 2
+        assert folder.fold().committed_ranges == second.shard_ranges
 
     def test_shard_wire_carries_stream_linkage(self, tmp_path, config):
         from repro.experiments.shard import load_shard_file

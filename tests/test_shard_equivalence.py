@@ -4,7 +4,7 @@ The whole point of :mod:`repro.experiments.shard` is that splitting one
 campaign into K per-phone-range shards changes *nothing* about the
 result — not one bit of the :class:`CampaignSummary`.  These tests pin
 that contract against a monolithic baseline for K ∈ {1, 3, 7, 25},
-through both ingest pipelines, under a process pool, through the shard
+through both ingest pipelines, on worker processes, through the shard
 cache, and with collection-path fault injection enabled.
 """
 
@@ -28,7 +28,6 @@ from repro.experiments.executors import WorkQueueExecutor
 from repro.experiments.shard import (
     ShardResult,
     ShardTask,
-    merge_ingest_reports,
     merge_shards,
     plan_shards,
     run_sharded_campaign,
@@ -90,7 +89,7 @@ def test_text_pipeline_shards_match_monolithic(config, monolithic):
     )
 
 
-def test_process_pool_shards_match_monolithic(config, monolithic):
+def test_worker_process_shards_match_monolithic(config, monolithic):
     result = run_sharded_campaign(config, shards=4, workers=2)
     assert canonical(result.summary.to_dict()) == canonical(
         monolithic.to_dict()
@@ -188,9 +187,6 @@ def test_merge_rejects_incomplete_or_overlapping_tilings(config):
         merge_shards([], config)
     full = merge_shards(results, config)
     assert full.to_dict() == merge_shards(list(reversed(results)), config).to_dict()
-    assert merge_ingest_reports(results).quarantined == sum(
-        r.ingest.quarantined for r in results
-    )
 
 
 def test_shard_result_wire_round_trip(config):
@@ -278,36 +274,30 @@ def test_merge_rejects_duplicated_phone_range(config):
         merge_shards(duplicated, config)
 
 
-# -- executor backends ----------------------------------------------------------
+# -- the executor ---------------------------------------------------------------
 
 
 def test_workqueue_streaming_matches_monolithic(config, monolithic):
-    """The work-stealing backend with spill-to-disk merge is the exact
-    same campaign: streaming merge, memory merge, and the pool backend
-    all emit the monolithic summary bit for bit."""
+    """Worker processes with the spill-to-disk merge and the in-process
+    path are the exact same campaign: both emit the monolithic summary
+    bit for bit."""
     streamed = run_sharded_campaign(
         config, shards=3, workers=2, executor="workqueue"
     )
     assert streamed.executor == "workqueue"
-    assert streamed.merge_mode == "streaming"
     assert canonical(streamed.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )
-    in_memory = run_sharded_campaign(
-        config, shards=3, workers=2, executor="workqueue", merge="memory"
-    )
-    assert in_memory.merge_mode == "memory"
-    assert canonical(in_memory.summary.to_dict()) == canonical(
+    in_process = run_sharded_campaign(config, shards=3)
+    assert canonical(in_process.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )
-    assert streamed.events_fired == in_memory.events_fired > 0
+    assert streamed.events_fired == in_process.events_fired > 0
 
 
-def test_streaming_merge_requires_workqueue(config):
-    with pytest.raises(ValueError, match="streaming"):
-        run_sharded_campaign(config, shards=2, merge="streaming")
-    with pytest.raises(ValueError, match="merge mode"):
-        run_sharded_campaign(config, shards=2, merge="telepathy")
+def test_other_executor_names_are_rejected(config):
+    with pytest.raises(ValueError, match="unknown executor"):
+        run_sharded_campaign(config, shards=2, executor="pool")
 
 
 def test_skewed_plan_with_stealing_matches_monolithic(config, monolithic):
@@ -381,9 +371,9 @@ def test_resume_from_committed_shards(tmp_path, config, monolithic):
     )
 
 
-def test_pool_backend_resumes_workqueue_commits(tmp_path, config, monolithic):
-    """Committed shards are backend-agnostic: the pool (or serial)
-    backend adopts what a workqueue run left behind."""
+def test_in_process_run_resumes_worker_commits(tmp_path, config, monolithic):
+    """Committed shards do not depend on where they ran: an in-process
+    run adopts what worker processes left behind."""
     cache = shard_cache(str(tmp_path))
     run_sharded_campaign(
         config, shards=4, workers=2, executor="workqueue", cache=cache
