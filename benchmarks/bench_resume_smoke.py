@@ -115,7 +115,6 @@ def test_kill9_resume_bit_identical(tmp_path):
     with open(report_path, "r", encoding="utf-8") as handle:
         report = json.load(handle)
     assert report["verified"] is True
-    assert report["executor"] == "workqueue"
     resumed_shards = report["counters"]["executor.resumed_shards_total"]
     assert resumed_shards >= 1, report["counters"]
     print(

@@ -1,11 +1,12 @@
 """Ingestion: collected log lines -> per-phone record streams.
 
-The only door into the analysis.  Input is what the collection server
-hands over — raw lines (the on-disk text contract) or record streams
-(the structured fast path, which skips the serialize→reparse round
-trip).  Text parsing is tolerant of the truncated lines a battery pull
-can leave behind; both doors produce identical datasets because writers
-quantize floats to wire precision at record construction.
+The only way into the analysis.  A campaign hands over the collection
+server's record streams (:meth:`Dataset.from_collector`); ``repro
+analyze`` parses exported log files, the on-disk text contract
+(:meth:`Dataset.from_lines`).  Text parsing is tolerant of the truncated
+lines a battery pull can leave behind; both produce identical datasets
+because writers quantize floats to wire precision at record
+construction.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ from repro.core.records import (
     UserReportRecord,
 )
 from repro.logger.logfile import FIELD_SEPARATOR, parse_lines
-
-#: Pipeline names accepted by :meth:`Dataset.from_collector`.
-PIPELINE_STRUCTURED = "structured"
-PIPELINE_TEXT = "text"
-PIPELINES = (PIPELINE_STRUCTURED, PIPELINE_TEXT)
 
 #: Corruption classes an unparseable line is filed under.
 CORRUPTION_UNKNOWN_TAG = "unknown-tag"
@@ -246,7 +242,7 @@ class Dataset:
         end_time: Optional[float] = None,
         ingest_report: Optional[IngestReport] = None,
     ) -> "Dataset":
-        """Ingest already-parsed record streams (the structured door)."""
+        """Ingest already-parsed record streams."""
         logs: Dict[str, PhoneLog] = {}
         # When end_time is known up front, skip tracking the latest
         # timestamp — at paper scale that is millions of comparisons.
@@ -307,27 +303,19 @@ class Dataset:
         cls,
         collector,
         end_time: Optional[float] = None,
-        pipeline: str = PIPELINE_STRUCTURED,
     ) -> "Dataset":
-        """Ingest straight from a :class:`CollectionServer`.
+        """Ingest straight from a :class:`CollectionServer`'s records.
 
-        ``pipeline`` selects the door: ``"structured"`` consumes the
-        collector's record objects directly; ``"text"`` serializes and
-        reparses every line, exercising the on-disk contract.  Both
-        produce identical datasets, including identical quarantine
-        accounting for corrupted entries.
+        Equal to :meth:`from_lines` over the collector's serialized
+        lines, quarantine accounting for corrupted entries included
+        (``tests/test_pipeline_equivalence.py`` pins this), without the
+        serialize→reparse round trip.
         """
-        if pipeline == PIPELINE_STRUCTURED:
-            report = IngestReport()
-            return cls.from_records(
-                collector.record_dataset(on_error=report.quarantine),
-                end_time=end_time,
-                ingest_report=report,
-            )
-        if pipeline == PIPELINE_TEXT:
-            return cls.from_lines(collector.dataset(), end_time=end_time)
-        raise AnalysisError(
-            f"unknown pipeline {pipeline!r}; expected one of {PIPELINES}"
+        report = IngestReport()
+        return cls.from_records(
+            collector.record_dataset(on_error=report.quarantine),
+            end_time=end_time,
+            ingest_report=report,
         )
 
     # -- convenience views ----------------------------------------------------------

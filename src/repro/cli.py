@@ -13,7 +13,7 @@ Nine subcommands cover the whole study:
   (the reproduction's robustness workhorse), with an optional on-disk
   summary cache;
 * ``forum``    — run the §4 web-forum study;
-* ``perf``     — measure the campaign pipeline (wall time per stage,
+* ``perf``     — time ``run_campaign`` (wall and CPU seconds,
   events/second, optional cProfile table) and optionally check the
   result against a committed baseline such as ``BENCH_campaign.json``;
 * ``trace``    — run one campaign at full telemetry and write a Chrome
@@ -42,8 +42,7 @@ Usage::
     python -m repro.cli forum --noise 0.25
     python -m repro.cli perf --repeats 3 --profile
     python -m repro.cli perf --check-against BENCH_campaign.json
-    python -m repro.cli perf --trace perf_trace.json
-    python -m repro.cli trace trace.json --phones 6 --months 2
+    python -m repro.cli trace trace.json --phones 25 --months 14
     python -m repro.cli faults --intensities 0.5,1,2 --output robustness.json
     python -m repro.cli faults --max-drift 5 --gate-intensity 1 --resilience
     python -m repro.cli megafleet --phones 10000 --months 2 --shards 16 \\
@@ -67,6 +66,7 @@ from repro.analysis.ingest import Dataset
 from repro.analysis.report import build_report
 from repro.analysis.tables import render_table
 from repro.core.clock import MONTH
+from repro.core.errors import AnalysisError
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
 from repro.experiments.compare import headline_comparison
@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     forum.add_argument("--seed", type=int, default=2003)
 
     perf = sub.add_parser(
-        "perf", help="measure the campaign pipeline (wall time, events/s)"
+        "perf", help="time run_campaign (wall/CPU seconds, events/s)"
     )
     perf.add_argument("--phones", type=int, default=25)
     perf.add_argument("--months", type=float, default=14.0)
@@ -219,11 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check-counters", metavar="FILE", default=None,
         help="assert the headline telemetry counters match the "
         "baseline JSON bit-exactly (no tolerance); exit 1 on any drift",
-    )
-    perf.add_argument(
-        "--trace", metavar="FILE", default=None, dest="trace_path",
-        help="write a Chrome-trace JSON of a separate trace-level run "
-        "(wall numbers stay untelemetered)",
     )
     perf.add_argument(
         "--no-counters", action="store_false", dest="counters",
@@ -419,11 +414,22 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    lines = load_lines_from_dir(args.directory)
+    try:
+        lines = load_lines_from_dir(args.directory)
+    except OSError as exc:
+        print(
+            f"cannot read {args.directory}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return 1
     if not lines:
         print(f"no .log files found in {args.directory}", file=sys.stderr)
         return 1
-    dataset = Dataset.from_lines(lines, end_time=args.end_time)
+    try:
+        dataset = Dataset.from_lines(lines, end_time=args.end_time)
+    except AnalysisError as exc:
+        print(f"cannot analyse {args.directory}: {exc}", file=sys.stderr)
+        return 1
     report = build_report(dataset, window=args.window)
     if args.headline_only:
         print(report.render_headline())
@@ -544,7 +550,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             profile=args.profile,
             profile_top=args.profile_top,
             counters=args.counters,
-            trace_path=args.trace_path,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -557,21 +562,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.output}")
-    if args.trace_path:
-        try:
-            with open(args.trace_path, "r", encoding="utf-8") as handle:
-                trace = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(
-                f"cannot validate trace {args.trace_path!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-        problems = validate_chrome_trace(trace)
-        if problems:
-            for problem in problems:
-                print(f"invalid trace: {problem}", file=sys.stderr)
-            return 1
     if args.check_against:
         try:
             baseline = load_baseline(args.check_against)
@@ -749,7 +739,6 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         "shards": result.shard_count,
         "shard_ranges": [list(r) for r in result.shard_ranges],
         "workers": args.workers,
-        "executor": result.executor,
         "counters": result.stats.to_dict(),
         "events_fired": result.events_fired,
         "events_per_second": round(result.events_fired / wall, 1)

@@ -6,18 +6,13 @@ import gc
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.analysis.ingest import PIPELINE_STRUCTURED, PIPELINE_TEXT, Dataset
+from repro.analysis.ingest import Dataset
 from repro.analysis.report import ReproductionReport, build_report
 from repro.experiments.config import CampaignConfig
 from repro.observability.telemetry import Telemetry, current_telemetry
 from repro.phone.fleet import Fleet
 
-__all__ = [
-    "CampaignResult",
-    "run_campaign",
-    "PIPELINE_STRUCTURED",
-    "PIPELINE_TEXT",
-]
+__all__ = ["CampaignResult", "run_campaign"]
 
 
 @dataclass
@@ -39,11 +34,10 @@ class CampaignResult:
 
 
 def _sample_ingest_metrics(registry, dataset: Dataset) -> None:
-    """Ingest-side counters, identical across both pipeline doors.
+    """Ingest-side counters: parsed records and quarantined lines.
 
-    Record counts and quarantine accounting are pinned byte-identical
-    between ``structured`` and ``text`` ingest, so these counters hold
-    the determinism guarantee the telemetry tests rely on.
+    Both are fixed by the dataset alone, so they are deterministic in
+    the seed like every other campaign counter.
     """
     records = registry.counter(
         "ingest.records_total", help="parsed records entering the analysis"
@@ -63,7 +57,6 @@ def _sample_ingest_metrics(registry, dataset: Dataset) -> None:
 
 def run_campaign(
     config: Optional[CampaignConfig] = None,
-    pipeline: str = PIPELINE_STRUCTURED,
     collector: Optional[object] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> CampaignResult:
@@ -71,14 +64,10 @@ def run_campaign(
 
     The analysis operates exclusively on what the collection server
     shipped; the fleet object is returned for ground-truth validation
-    only.  ``pipeline`` picks the ingest door ("structured" record
-    objects by default; "text" forces the serialize→reparse round
-    trip) — results are identical either way, so it is an execution
-    detail, not part of :class:`CampaignConfig`.  ``collector``
-    substitutes the fleet's collection server (the robustness harness
-    routes it through a faulty transfer link); ``None`` keeps the
-    default perfect link.  ``telemetry`` (or the process-current
-    instance) is installed for the duration: at ``metrics`` level the
+    only.  ``collector`` substitutes the fleet's collection server (the
+    robustness harness routes it through a faulty transfer link);
+    ``None`` keeps the default perfect link.  ``telemetry`` (or the
+    process-current instance) is installed for the duration: at ``metrics`` level the
     campaign's counters land in its registry and in
     ``CampaignResult.telemetry``; at ``trace`` level the run also
     produces the simulate/ingest/report stage spans.
@@ -95,9 +84,6 @@ def run_campaign(
         if gc_was_enabled:
             gc.disable()
         try:
-            # The ingest door is deliberately NOT a span arg: both doors
-            # must produce identical sim-time span trees (it lives in
-            # the summary's config instead).
             with tel.span(
                 "campaign",
                 category="campaign",
@@ -108,9 +94,7 @@ def run_campaign(
                     fleet.run()
                 with tel.span("ingest", category="stage"):
                     dataset = Dataset.from_collector(
-                        fleet.collector,
-                        end_time=config.fleet.duration,
-                        pipeline=pipeline,
+                        fleet.collector, end_time=config.fleet.duration
                     )
                 with tel.span("report", category="stage"):
                     report = build_report(dataset, window=config.coalescence_window)

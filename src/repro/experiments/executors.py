@@ -36,8 +36,8 @@ from a coordinator-managed queue.
 Counters: every steal, task retry, worker restart, and watchdog fire is
 tallied in an :class:`ExecutorStats` (always, so reports and benchmarks
 can quote them with telemetry off) and mirrored into the ambient
-:class:`~repro.observability.telemetry.Telemetry` registry as labeled
-counters (``executor.steals_total`` etc.) when metrics are enabled.
+:class:`~repro.observability.telemetry.Telemetry` registry as counters
+(``executor.steals_total`` etc.) when metrics are enabled.
 """
 
 from __future__ import annotations
@@ -128,11 +128,10 @@ class ExecutorStats:
 
     Kept outside the telemetry registry so reports and benchmark
     snapshots can always quote them — telemetry defaults to off — and
-    mirrored into labeled counters via :meth:`sample` when metrics are
+    mirrored into registry counters via :meth:`sample` when metrics are
     enabled.
     """
 
-    backend: str = EXECUTOR_WORKQUEUE
     #: Dispatch-time splits of the largest pending phone range — each
     #: one is an idle worker stealing half of a long-tailed shard.
     steals: int = 0
@@ -152,7 +151,6 @@ class ExecutorStats:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "backend": self.backend,
             "executor.steals_total": self.steals,
             "executor.task_retries_total": self.task_retries,
             "executor.resumed_shards_total": self.resumed_shards,
@@ -161,7 +159,7 @@ class ExecutorStats:
         }
 
     def sample(self, tel: Telemetry) -> None:
-        """Mirror the tallies into labeled registry counters.
+        """Mirror the tallies into registry counters.
 
         Only the delta since the last mirror is added, so sampling at
         every layer boundary (executor, sharded campaign) is safe — the
@@ -178,9 +176,7 @@ class ExecutorStats:
         ):
             delta = value - self._mirrored.get(name, 0)
             if delta:
-                tel.registry.counter(name, help=help_text).inc(
-                    float(delta), backend=self.backend
-                )
+                tel.registry.counter(name, help=help_text).inc(float(delta))
                 self._mirrored[name] = value
 
 
@@ -271,8 +267,6 @@ class WorkQueueExecutor:
     durable commits, and the in-process path.
     """
 
-    name = EXECUTOR_WORKQUEUE
-
     def __init__(
         self,
         workers: int = 4,
@@ -285,7 +279,7 @@ class WorkQueueExecutor:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.stats = ExecutorStats(backend=self.name)
+        self.stats = ExecutorStats()
         self.steal = steal
         self.min_split_phones = max(1, min_split_phones)
         self.oversubscribe = max(1, oversubscribe)

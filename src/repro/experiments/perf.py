@@ -5,7 +5,7 @@ ingest the collected logs, build the report.  This module measures that
 path the same way every time, so performance claims are comparable
 across commits and machines:
 
-* **wall time** per stage (simulate / ingest / report) and total;
+* **wall and CPU time** of the ``run_campaign`` call itself;
 * **throughput** as simulator events per second;
 * an optional **cProfile table** (top functions by internal time) taken
   in a *separate* profiled run, because the profiler itself inflates
@@ -14,6 +14,10 @@ across commits and machines:
 * a JSON snapshot (:meth:`PerfResult.to_dict`) suitable for committing
   as a benchmark baseline (``BENCH_campaign.json``) and for regression
   checks in CI (:func:`check_regression`).
+
+The split of that time across layers (engine, logger, transfer, ingest,
+report, ...) is the benchmark suite's per-layer ledger
+(``benchmarks/suite``), not this harness's job.
 
 Run it from the command line::
 
@@ -25,25 +29,16 @@ Run it from the command line::
 from __future__ import annotations
 
 import cProfile
-import gc
 import json
 import pstats
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.ingest import PIPELINE_STRUCTURED, PIPELINES, Dataset
-from repro.analysis.report import build_report
 from repro.core.clock import MONTH
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
-from repro.observability.export import write_chrome_trace
-from repro.observability.telemetry import (
-    TELEMETRY_METRICS,
-    TELEMETRY_TRACE,
-    Telemetry,
-)
-from repro.phone.fleet import Fleet
+from repro.observability.telemetry import TELEMETRY_METRICS, Telemetry
 
 #: CI fails when the measured wall time exceeds the committed baseline
 #: by more than this factor (generous: CI runners are shared machines).
@@ -62,10 +57,8 @@ class PerfResult:
     phones: int
     months: float
     seed: int
-    pipeline: str
     repeats: int
-    #: Stage name -> wall seconds, for the best (fastest-total) repeat.
-    stages: Dict[str, float]
+    #: Wall seconds of the best (fastest) repeat.
     wall_seconds: float
     events_fired: int
     events_per_second: float
@@ -73,11 +66,9 @@ class PerfResult:
     records_collected: int
     #: Wall seconds of every repeat, in run order (noise visibility).
     all_wall_seconds: List[float] = field(default_factory=list)
-    #: Stage name -> CPU seconds (:func:`time.process_time`) for the
-    #: same best repeat.  CPU time is immune to machine load, so it is
-    #: the preferred regression-gate metric.
-    stages_cpu: Dict[str, float] = field(default_factory=dict)
-    #: CPU seconds of the best repeat (sum of ``stages_cpu``).
+    #: CPU seconds (:func:`time.process_time`) of the same best repeat.
+    #: CPU time is immune to machine load, so it is the preferred
+    #: regression-gate metric.
     cpu_seconds: float = 0.0
     #: CPU seconds of every repeat, in run order.
     all_cpu_seconds: List[float] = field(default_factory=list)
@@ -88,8 +79,6 @@ class PerfResult:
     #: Headline counter totals from a separate telemetry-enabled run
     #: (deterministic in the seed, so they describe the timed runs too).
     counter_totals: Optional[Dict[str, float]] = None
-    #: Where the Chrome trace of the telemetry run was written, if asked.
-    trace_path: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -97,15 +86,12 @@ class PerfResult:
                 "phones": self.phones,
                 "months": self.months,
                 "seed": self.seed,
-                "pipeline": self.pipeline,
                 "repeats": self.repeats,
             },
             "wall_seconds": round(self.wall_seconds, 4),
             "all_wall_seconds": [round(t, 4) for t in self.all_wall_seconds],
             "cpu_seconds": round(self.cpu_seconds, 4),
             "all_cpu_seconds": [round(t, 4) for t in self.all_cpu_seconds],
-            "stages": {k: round(v, 4) for k, v in self.stages.items()},
-            "stages_cpu": {k: round(v, 4) for k, v in self.stages_cpu.items()},
             "events_fired": self.events_fired,
             "events_per_second": round(self.events_per_second, 1),
             "records_collected": self.records_collected,
@@ -114,8 +100,6 @@ class PerfResult:
             data["counters"] = {
                 name: value for name, value in sorted(self.counter_totals.items())
             }
-        if self.trace_path is not None:
-            data["trace_path"] = self.trace_path
         if self.profile_top is not None:
             data["profile"] = {
                 "note": (
@@ -131,7 +115,7 @@ class PerfResult:
         """Human-readable report."""
         lines = [
             f"campaign perf: {self.phones} phones x {self.months:g} months, "
-            f"seed {self.seed}, pipeline {self.pipeline!r}",
+            f"seed {self.seed}",
             f"  wall time      : {self.wall_seconds:.3f} s "
             f"(best of {self.repeats}: "
             + ", ".join(f"{t:.3f}" for t in self.all_wall_seconds)
@@ -141,9 +125,6 @@ class PerfResult:
             + ", ".join(f"{t:.3f}" for t in self.all_cpu_seconds)
             + ")",
         ]
-        for stage, seconds in self.stages.items():
-            share = 100.0 * seconds / self.wall_seconds if self.wall_seconds else 0.0
-            lines.append(f"  {stage:15s}: {seconds:.3f} s ({share:.0f}%)")
         lines.append(f"  events fired   : {self.events_fired}")
         lines.append(f"  events/second  : {self.events_per_second:,.0f}")
         lines.append(f"  records        : {self.records_collected}")
@@ -151,8 +132,6 @@ class PerfResult:
             lines.append("  counters (separate telemetry run):")
             for name, value in sorted(self.counter_totals.items()):
                 lines.append(f"    {name:32s}: {value:,.0f}")
-        if self.trace_path:
-            lines.append(f"  trace          : {self.trace_path}")
         if self.profile_top:
             lines.append(
                 f"  profile (separate run, {self.profile_wall_seconds:.3f} s "
@@ -169,87 +148,44 @@ class PerfResult:
         return "\n".join(lines)
 
 
-def _timed_pipeline(
-    config: CampaignConfig, pipeline: str
-) -> Tuple[Dict[str, float], Dict[str, float], int, int]:
-    """One full campaign with per-stage wall *and* CPU timing.
-
-    Mirrors ``run_campaign`` exactly (including the GC suspension across
-    all three stages) so the numbers describe the real entry point.
-    Each stage boundary samples :func:`time.perf_counter` (wall) and
-    :func:`time.process_time` (CPU) back to back; CPU seconds do not
-    accumulate while the scheduler runs someone else, which is what
-    makes them the stable regression metric on shared machines.
-    """
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        t0, c0 = time.perf_counter(), time.process_time()
-        fleet = Fleet(config.fleet, seed=config.seed)
-        fleet.run()
-        t1, c1 = time.perf_counter(), time.process_time()
-        dataset = Dataset.from_collector(
-            fleet.collector, end_time=config.fleet.duration, pipeline=pipeline
-        )
-        t2, c2 = time.perf_counter(), time.process_time()
-        build_report(dataset, window=config.coalescence_window)
-        t3, c3 = time.perf_counter(), time.process_time()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    stages = {
-        "simulate": t1 - t0,
-        "ingest": t2 - t1,
-        "report": t3 - t2,
-    }
-    stages_cpu = {
-        "simulate": c1 - c0,
-        "ingest": c2 - c1,
-        "report": c3 - c2,
-    }
-    return stages, stages_cpu, fleet.sim.events_fired, fleet.collector.total_lines
-
-
 def measure_campaign(
     config: Optional[CampaignConfig] = None,
-    pipeline: str = PIPELINE_STRUCTURED,
     repeats: int = 1,
     profile: bool = False,
     profile_top: int = 12,
     counters: bool = True,
-    trace_path: Optional[str] = None,
 ) -> PerfResult:
-    """Measure the campaign pipeline; returns the best of ``repeats``.
+    """Measure ``run_campaign``; returns the best of ``repeats``.
 
-    Wall numbers always come from clean (unprofiled, untelemetered)
-    runs.  With ``profile=True`` one *additional* run executes under
-    cProfile to produce the hot-function table.  With ``counters=True``
-    (the default) one additional metrics-level run samples the headline
-    counter totals — deterministic in the seed, so they describe the
-    timed runs exactly; ``trace_path`` upgrades that run to trace level
-    and writes its Chrome-trace JSON there.
+    Each repeat times the ``run_campaign(config)`` call itself, sampling
+    :func:`time.perf_counter` (wall) and :func:`time.process_time` (CPU)
+    back to back; CPU seconds do not accumulate while the scheduler runs
+    someone else, which is what makes them the stable regression metric
+    on shared machines.  Wall numbers always come from clean
+    (unprofiled, untelemetered) runs.  With ``profile=True`` one
+    *additional* call executes under cProfile to produce the
+    hot-function table.  With ``counters=True`` (the default) one
+    additional metrics-level run samples the headline counter totals —
+    deterministic in the seed, so they describe the timed runs exactly.
     """
-    if pipeline not in PIPELINES:
-        raise ValueError(f"unknown pipeline {pipeline!r}; expected {PIPELINES}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     config = config if config is not None else CampaignConfig.paper_scale()
 
-    best: Optional[
-        Tuple[float, Dict[str, float], Dict[str, float], int, int]
-    ] = None
     all_walls: List[float] = []
     all_cpus: List[float] = []
     for _ in range(repeats):
-        stages, stages_cpu, events, records = _timed_pipeline(config, pipeline)
-        total = sum(stages.values())
-        all_walls.append(total)
-        all_cpus.append(sum(stages_cpu.values()))
-        if best is None or total < best[0]:
-            best = (total, stages, stages_cpu, events, records)
-    assert best is not None
-    wall, stages, stages_cpu, events, records = best
+        t0, c0 = time.perf_counter(), time.process_time()
+        result = run_campaign(config)
+        all_walls.append(time.perf_counter() - t0)
+        all_cpus.append(time.process_time() - c0)
+        # Deterministic in the seed, so any repeat's counts will do;
+        # drop the result so the next repeat never runs beside it.
+        events = result.fleet.sim.events_fired
+        records = result.fleet.collector.total_lines
+        del result
+    wall = min(all_walls)
+    best = all_walls.index(wall)
 
     top_rows: Optional[List[Dict[str, Any]]] = None
     profiled_wall: Optional[float] = None
@@ -257,7 +193,7 @@ def measure_campaign(
         profiler = cProfile.Profile()
         t0 = time.perf_counter()
         profiler.enable()
-        _timed_pipeline(config, pipeline)
+        run_campaign(config)
         profiler.disable()
         profiled_wall = time.perf_counter() - t0
         stats = pstats.Stats(profiler)
@@ -279,40 +215,33 @@ def measure_campaign(
             )
 
     totals: Optional[Dict[str, float]] = None
-    if counters or trace_path:
-        tel = Telemetry(TELEMETRY_TRACE if trace_path else TELEMETRY_METRICS)
-        run_campaign(config, pipeline=pipeline, telemetry=tel)
+    if counters:
+        tel = Telemetry(TELEMETRY_METRICS)
+        run_campaign(config, telemetry=tel)
         totals = tel.registry.counter_totals()
-        if trace_path:
-            write_chrome_trace(trace_path, tel.tracer, tel.registry)
 
     months = config.fleet.duration / MONTH
     return PerfResult(
         phones=config.fleet.phone_count,
         months=round(months, 3),
         seed=config.seed,
-        pipeline=pipeline,
         repeats=repeats,
-        stages=stages,
         wall_seconds=wall,
         events_fired=events,
         events_per_second=events / wall if wall > 0 else 0.0,
         records_collected=records,
         all_wall_seconds=all_walls,
-        stages_cpu=stages_cpu,
-        cpu_seconds=sum(stages_cpu.values()),
+        cpu_seconds=all_cpus[best],
         all_cpu_seconds=all_cpus,
         profile_top=top_rows,
         profile_wall_seconds=profiled_wall,
         counter_totals=totals,
-        trace_path=trace_path,
     )
 
 
 def measure_live_overhead(
     config: Optional[CampaignConfig] = None,
     repeats: int = 3,
-    pipeline: str = PIPELINE_STRUCTURED,
 ) -> Dict[str, Any]:
     """A/B the live op-log flush hook: heartbeats on vs off.
 
@@ -343,7 +272,7 @@ def measure_live_overhead(
 
     def _run_off() -> None:
         t0, c0 = time.perf_counter(), time.process_time()
-        run_campaign(config, pipeline=pipeline)
+        run_campaign(config)
         off_wall.append(time.perf_counter() - t0)
         off_cpu.append(time.process_time() - c0)
 
@@ -353,7 +282,7 @@ def measure_live_overhead(
         previous = install_live_writer(writer)
         try:
             t0, c0 = time.perf_counter(), time.process_time()
-            run_campaign(config, pipeline=pipeline)
+            run_campaign(config)
             on_wall.append(time.perf_counter() - t0)
             on_cpu.append(time.process_time() - c0)
         finally:
@@ -365,7 +294,7 @@ def measure_live_overhead(
         # Untimed warmup: the first run pays import, allocator, and
         # branch-predictor warming that would otherwise bias whichever
         # arm happens to go first.
-        run_campaign(config, pipeline=pipeline)
+        run_campaign(config)
         for i in range(repeats):
             first, second = (_run_off, _run_on) if i % 2 == 0 else (
                 _run_on,
@@ -391,7 +320,6 @@ def measure_live_overhead(
             "phones": config.fleet.phone_count,
             "months": round(config.fleet.duration / MONTH, 3),
             "seed": config.seed,
-            "pipeline": pipeline,
             "repeats": repeats,
         },
         "wall_seconds_off": round(best_off_wall, 4),

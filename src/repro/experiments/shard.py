@@ -63,11 +63,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis.ingest import (
-    PIPELINE_STRUCTURED,
-    Dataset,
-    IngestReport,
-)
+from repro.analysis.ingest import Dataset, IngestReport
 from repro.analysis.streaming import CampaignAccumulator
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import _sample_ingest_metrics
@@ -351,12 +347,10 @@ class ShardTask:
 
     def __init__(
         self,
-        pipeline: str = PIPELINE_STRUCTURED,
         telemetry_level: Optional[str] = None,
         plan: Optional[object] = None,
         live_dir: Optional[str] = None,
     ) -> None:
-        self.pipeline = pipeline
         self.telemetry_level = telemetry_level
         #: Optional :class:`~repro.robustness.plan.FaultPlan` injected
         #: into the shard's collection path.  Injection streams are
@@ -435,9 +429,7 @@ class ShardTask:
                     fleet.run()
                 with tel.span("ingest", category="stage"):
                     dataset = Dataset.from_collector(
-                        fleet.collector,
-                        end_time=config.fleet.duration,
-                        pipeline=self.pipeline,
+                        fleet.collector, end_time=config.fleet.duration
                     )
                 with tel.span("reduce", category="stage"):
                     accumulator = CampaignAccumulator.from_dataset(
@@ -764,8 +756,6 @@ class MegafleetResult:
     shard_ranges: List[Tuple[int, int]]
     #: Merged quarantine accounting across every shard.
     ingest: IngestReport
-    #: Which executor ran the shards.
-    executor: str = EXECUTOR_WORKQUEUE
     #: Steal / retry / resume / restart tallies for the run.
     stats: ExecutorStats = field(default_factory=ExecutorStats)
     #: Aggregate simulator events fired across every shard.
@@ -780,7 +770,6 @@ class MegafleetResult:
             "summary": self.summary.to_dict(),
             "shard_ranges": [list(r) for r in self.shard_ranges],
             "ingest": self.ingest.to_dict(),
-            "executor": self.executor,
             "counters": self.stats.to_dict(),
             "events_fired": self.events_fired,
         }
@@ -791,7 +780,6 @@ def _announce_campaign(
     config: CampaignConfig,
     shards: int,
     workers: int,
-    executor_name: str,
 ) -> None:
     """Write the campaign-identity record the monitor keys off."""
     from repro.observability.live import OpLogWriter
@@ -803,7 +791,6 @@ def _announce_campaign(
             shards=shards,
             workers=workers,
             seed=config.seed,
-            executor=executor_name,
             duration=config.fleet.duration,
             config=config.to_dict(),
         )
@@ -815,7 +802,6 @@ def run_sharded_campaign(
     config: CampaignConfig,
     shards: int,
     workers: int = 1,
-    pipeline: str = PIPELINE_STRUCTURED,
     cache: Optional[CampaignCache] = None,
     plan: Optional[object] = None,
     telemetry_level: Optional[str] = None,
@@ -886,16 +872,11 @@ def run_sharded_campaign(
             from repro.observability.live import live_dir_for
 
             live_dir = live_dir_for(commit_dir)
-            _announce_campaign(
-                live_dir, config, shards, backend.workers, backend.name
-            )
+            _announce_campaign(live_dir, config, shards, backend.workers)
         completed = backend.execute_shards(
             [(cfg.fleet.resolved_range(), cfg) for cfg in task_configs],
             ShardTask(
-                pipeline=pipeline,
-                telemetry_level=telemetry_level,
-                plan=plan,
-                live_dir=live_dir,
+                telemetry_level=telemetry_level, plan=plan, live_dir=live_dir
             ),
             commit_dir,
             retries=retries,
@@ -921,7 +902,6 @@ def run_sharded_campaign(
         summary=merged.summary,
         shard_ranges=merged.shard_ranges,
         ingest=merged.ingest,
-        executor=backend.name,
         stats=backend.stats,
         events_fired=merged.events_fired,
     )

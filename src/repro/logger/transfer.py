@@ -263,7 +263,7 @@ class CollectionServer:
         return [serialize_entry(entry) for entry in self._entries.get(phone_id, ())]
 
     def dataset(self) -> Dict[str, List[str]]:
-        """phone_id -> collected lines; the text-pipeline input."""
+        """phone_id -> collected lines, as exported to disk."""
         return {
             phone_id: [serialize_entry(entry) for entry in entries]
             for phone_id, entries in self._entries.items()
@@ -272,16 +272,16 @@ class CollectionServer:
     def record_dataset(
         self, on_error: Optional[Callable[[str, str, Exception], None]] = None
     ) -> Dict[str, List[object]]:
-        """phone_id -> collected records; the structured-pipeline input.
+        """phone_id -> collected records; what a campaign ingests.
 
         Raw (corrupted) entries go through the tolerant parser, exactly
-        as the text pipeline would treat them after a disk round trip.
+        as ``repro analyze`` treats them after a disk round trip.
         ``on_error`` (phone_id, line, error) observes every quarantined
         line instead of letting it vanish silently.
         """
         out: Dict[str, List[object]] = {}
         # Sorted iteration keeps quarantine accounting byte-identical
-        # to the text door, which ingests phones in sorted order.
+        # to Dataset.from_lines, which ingests phones in sorted order.
         for phone_id in sorted(self._entries):
             entries = self._entries[phone_id]
             hook = None

@@ -915,7 +915,6 @@ def render_dashboard(snapshot: LiveSnapshot, width: int = 78) -> str:
             f" · {campaign.get('phones', '?')} phones"
             f" · {campaign.get('shards', '?')} shards"
             f" · seed {campaign.get('seed', '?')}"
-            f" · executor {campaign.get('executor', '?')}"
         )
     lines.append(title)
     lines.append("=" * min(width, max(len(title), 40)))

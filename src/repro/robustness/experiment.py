@@ -33,7 +33,6 @@ from repro.experiments.summary import (
     CampaignSummary,
     headline_figures,
 )
-from repro.analysis.ingest import PIPELINE_STRUCTURED
 from repro.analysis.tables import render_table
 from repro.logger.transfer import CollectionServer
 from repro.robustness.injectors import (
@@ -65,7 +64,6 @@ class FaultyCampaignOutcome:
 def run_faulty_campaign(
     config: CampaignConfig,
     plan: Optional[FaultPlan] = None,
-    pipeline: str = PIPELINE_STRUCTURED,
 ) -> FaultyCampaignOutcome:
     """Run one campaign with collection-path faults from ``plan``.
 
@@ -74,7 +72,7 @@ def run_faulty_campaign(
     """
     link = FaultyLink(plan) if plan is not None and plan.enabled else None
     collector = CollectionServer(link=link)
-    result = run_campaign(config, pipeline=pipeline, collector=collector)
+    result = run_campaign(config, collector=collector)
     return FaultyCampaignOutcome(
         result=result,
         summary=CampaignSummary.from_result(result),
@@ -192,7 +190,6 @@ class RobustnessReport:
 
     config: Dict[str, object]
     base_plan: Dict[str, object]
-    pipeline: str
     clean_figures: Dict[str, float]
     points: List[DegradationPoint] = field(default_factory=list)
     resilience: Optional[ResilienceProbe] = None
@@ -212,7 +209,6 @@ class RobustnessReport:
         return {
             "config": self.config,
             "base_plan": self.base_plan,
-            "pipeline": self.pipeline,
             "clean_figures": {
                 key: _json_safe(val) for key, val in self.clean_figures.items()
             },
@@ -271,7 +267,6 @@ def run_degradation_experiment(
     config: CampaignConfig,
     base_plan: Optional[FaultPlan] = None,
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    pipeline: str = PIPELINE_STRUCTURED,
 ) -> RobustnessReport:
     """Sweep fault intensity and measure headline-figure drift.
 
@@ -283,12 +278,11 @@ def run_degradation_experiment(
     unhandled exception.
     """
     base_plan = base_plan if base_plan is not None else FaultPlan.mild()
-    clean = run_faulty_campaign(config, plan=None, pipeline=pipeline)
+    clean = run_faulty_campaign(config, plan=None)
     clean_figures = headline_figures(clean.summary)
     report = RobustnessReport(
         config=config.to_dict(),
         base_plan=base_plan.to_dict(),
-        pipeline=pipeline,
         clean_figures=clean_figures,
     )
     report.points.append(
@@ -308,7 +302,7 @@ def run_degradation_experiment(
         plan = base_plan.scaled(intensity)
         point = DegradationPoint(intensity=intensity, plan=plan.to_dict())
         try:
-            outcome = run_faulty_campaign(config, plan=plan, pipeline=pipeline)
+            outcome = run_faulty_campaign(config, plan=plan)
         except ReproError as exc:
             point.error = f"{type(exc).__name__}: {exc}"
         else:

@@ -92,6 +92,28 @@ class TestCli:
         assert main(["analyze", str(tmp_path)]) == 1
         assert "no .log files" in capsys.readouterr().err
 
+    @staticmethod
+    def _one_line_error(capsys) -> str:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_analyze_missing_directory_fails(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-dir")
+        assert main(["analyze", missing]) == 1
+        assert "No such file or directory" in self._one_line_error(capsys)
+
+    def test_analyze_nonpositive_end_time_fails(self, tmp_path, capsys):
+        (tmp_path / "phone-00.log").write_text("BOOT|1.000|NONE|0.000\n")
+        assert main(["analyze", str(tmp_path), "--end-time", "0"]) == 1
+        assert "end_time must be positive" in self._one_line_error(capsys)
+
+    def test_analyze_unparseable_logs_fail(self, tmp_path, capsys):
+        (tmp_path / "phone-00.log").write_text("XYZZY|1|2\nRUNAPP|180\n")
+        assert main(["analyze", str(tmp_path)]) == 1
+        assert "no parseable records" in self._one_line_error(capsys)
+
     def test_forum_command(self, capsys):
         assert main(["forum", "--reports", "120", "--seed", "4"]) == 0
         out = capsys.readouterr().out

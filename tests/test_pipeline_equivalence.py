@@ -1,17 +1,20 @@
-"""Structured vs text pipeline equivalence — the fast-path contract.
+"""Record ingest vs text ingest — the contract behind the campaign's
+shortcut.
 
-The collection pipeline has two doors into the analysis: the
-``structured`` fast path hands collected record objects straight to
-:meth:`Dataset.from_records`, while the ``text`` path serializes every
-entry and reparses it (the original on-disk contract).  These tests pin
-the invariant that makes the fast path legal:
+A campaign hands the collection server's record objects straight to
+the analysis (:meth:`Dataset.from_collector`); ``repro analyze`` parses
+the same entries as text (:meth:`Dataset.from_lines`, the on-disk
+contract).  These tests pin the invariant that makes the shortcut
+legal:
 
 * line level — for every phone, parsing the serialized log lines yields
-  records equal to the structured entries (writers quantize timestamps
+  records equal to the collected entries (writers quantize timestamps
   to wire precision at construction, so the round trip is lossless);
-* report level — a campaign analysed through either door produces a
-  byte-identical summary, with simulation (events fired, ground truth)
-  unaffected by the choice;
+* dataset level — for one fleet, the two ingest paths build equal
+  datasets: same logs, same end time, same quarantine accounting and
+  ingest counters, on a clean link and under ``FaultPlan.mild``.
+  Everything downstream of the dataset (report, shard reduce) is shared
+  code, so equal datasets mean equal results;
 * the RUNAPPS dedupe knob drops redundant snapshots without changing
   any analysis result (Table 4 included).
 """
@@ -22,14 +25,22 @@ import json
 
 import pytest
 
-from repro.analysis.ingest import PIPELINE_STRUCTURED, PIPELINE_TEXT
-from repro.core.errors import AnalysisError
-from repro.experiments.campaign import run_campaign
+from repro.analysis.ingest import (
+    CORRUPTION_BAD_VALUE,
+    CORRUPTION_FIELD_COUNT,
+    CORRUPTION_UNKNOWN_TAG,
+    Dataset,
+)
+from repro.experiments.campaign import _sample_ingest_metrics, run_campaign
 from repro.experiments.config import CampaignConfig
+from repro.experiments.shard import plan_shards
 from repro.experiments.summary import CampaignSummary
 from repro.logger.daemon import LoggerConfig
 from repro.logger.logfile import parse_lines
+from repro.logger.transfer import CollectionServer
+from repro.observability.metrics import MetricsRegistry
 from repro.phone.fleet import Fleet
+from repro.robustness import FaultPlan, FaultyLink
 
 SEEDS = [7, 1337, 2005]
 
@@ -53,32 +64,70 @@ class TestLineLevelEquivalence:
         total = 0
         for phone_id, phone_lines in lines.items():
             # Lenient parsing, as ingest does it: freeze-truncated tail
-            # lines are dropped by both pipelines.
+            # lines are dropped by both ingest paths.
             reparsed = list(parse_lines(phone_lines))
             assert reparsed == records[phone_id], phone_id
             total += len(reparsed)
         assert total > 100  # the campaign actually logged something
 
 
-class TestReportLevelEquivalence:
+def _ingest_counters(dataset: Dataset) -> dict:
+    registry = MetricsRegistry()
+    _sample_ingest_metrics(registry, dataset)
+    return registry.to_dict()
+
+
+def assert_text_ingest_equals_record_ingest(
+    config: CampaignConfig, plan=None
+) -> Dataset:
+    """Run one fleet and ingest its collector both ways; the datasets
+    must be equal.  Returns the record-ingested dataset."""
+    link = FaultyLink(plan) if plan is not None else None
+    fleet = Fleet(
+        config.fleet, seed=config.seed, collector=CollectionServer(link=link)
+    )
+    fleet.run()
+    end = config.fleet.duration
+    records = Dataset.from_collector(fleet.collector, end)
+    text = Dataset.from_lines(fleet.collector.dataset(), end)
+    assert text.logs == records.logs
+    assert text.end_time == records.end_time
+    assert text.ingest_report == records.ingest_report
+    assert _ingest_counters(text) == _ingest_counters(records)
+    return records
+
+
+class TestDatasetLevelEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_summary_is_byte_identical_across_pipelines(self, seed):
-        structured = run_campaign(
-            CampaignConfig.quick(seed), pipeline=PIPELINE_STRUCTURED
-        )
-        text = run_campaign(CampaignConfig.quick(seed), pipeline=PIPELINE_TEXT)
+    def test_clean_link_datasets_equal(self, seed):
+        # A clean link can still quarantine the tail lines a freeze cut
+        # short (seeds 1337 and 2005 do), so quarantine parity is
+        # covered here too.
+        assert_text_ingest_equals_record_ingest(CampaignConfig.quick(seed))
 
-        # The simulation half is untouched by the ingest choice.
-        assert (
-            structured.fleet.sim.events_fired == text.fleet.sim.events_fired
+    @pytest.mark.parametrize("intensity", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mild_fault_datasets_equal(self, seed, intensity):
+        """Truncated and garbled entries are quarantined identically:
+        same counts by class and by phone, same verbatim samples."""
+        dataset = assert_text_ingest_equals_record_ingest(
+            CampaignConfig.tiny(seed), FaultPlan.mild().scaled(intensity)
         )
-        assert structured.ground_truth == text.ground_truth
+        # Not vacuous: every corruption class reached the quarantine.
+        assert set(dataset.ingest_report.by_class) == {
+            CORRUPTION_BAD_VALUE,
+            CORRUPTION_FIELD_COUNT,
+            CORRUPTION_UNKNOWN_TAG,
+        }
 
-        # The analysis half agrees to the byte.
-        assert _summary_without_config(structured) == _summary_without_config(
-            text
-        )
+    def test_shard_slice_datasets_equal(self):
+        """A shard's fleet (a phone-range slice) ingests the same both
+        ways, so the shard path needs no text leg of its own."""
+        config = plan_shards(CampaignConfig.quick(1337), 3)[1]
+        assert_text_ingest_equals_record_ingest(config, FaultPlan.mild())
 
+
+class TestReportLevelEquivalence:
     def test_same_seed_same_pipeline_is_deterministic(self):
         first = run_campaign(CampaignConfig.quick(2005))
         second = run_campaign(CampaignConfig.quick(2005))
@@ -86,10 +135,6 @@ class TestReportLevelEquivalence:
         assert _summary_without_config(first) == _summary_without_config(
             second
         )
-
-    def test_unknown_pipeline_is_rejected(self):
-        with pytest.raises(AnalysisError):
-            run_campaign(CampaignConfig.quick(7), pipeline="carrier-pigeon")
 
 
 class TestZeroFaultEquivalence:

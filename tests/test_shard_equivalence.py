@@ -4,8 +4,9 @@ The whole point of :mod:`repro.experiments.shard` is that splitting one
 campaign into K per-phone-range shards changes *nothing* about the
 result — not one bit of the :class:`CampaignSummary`.  These tests pin
 that contract against a monolithic baseline for K ∈ {1, 3, 7, 25},
-through both ingest pipelines, on worker processes, through the shard
-cache, and with collection-path fault injection enabled.
+on worker processes, through the shard cache, and with collection-path
+fault injection enabled.  (Text ingest of a shard equals record ingest
+at the dataset level; ``test_pipeline_equivalence.py`` pins that.)
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import time
 
 import pytest
 
-from repro.analysis.ingest import PIPELINE_TEXT
 from repro.core.clock import MONTH
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
@@ -81,14 +81,6 @@ def test_sharded_summary_is_bit_identical(shards, config, monolithic):
     assert starts == sorted(starts)
 
 
-def test_text_pipeline_shards_match_monolithic(config, monolithic):
-    """The serialize→reparse door shards identically to the fast path."""
-    result = run_sharded_campaign(config, shards=3, pipeline=PIPELINE_TEXT)
-    assert canonical(result.summary.to_dict()) == canonical(
-        monolithic.to_dict()
-    )
-
-
 def test_worker_process_shards_match_monolithic(config, monolithic):
     result = run_sharded_campaign(config, shards=4, workers=2)
     assert canonical(result.summary.to_dict()) == canonical(
@@ -98,19 +90,16 @@ def test_worker_process_shards_match_monolithic(config, monolithic):
 
 def test_faulty_campaign_shards_match_monolithic(config):
     """Fault injection is per-phone-seeded, so it shards bit-for-bit:
-    same summary, same quarantine accounting, in both pipelines."""
+    same summary, same quarantine accounting."""
     plan = FaultPlan.mild(seed=777)
-    for pipeline in ("structured", PIPELINE_TEXT):
-        outcome = run_faulty_campaign(config, plan, pipeline=pipeline)
-        result = run_sharded_campaign(
-            config, shards=5, plan=plan, pipeline=pipeline
-        )
-        assert canonical(result.summary.to_dict()) == canonical(
-            outcome.summary.to_dict()
-        )
-        assert result.ingest.quarantined == outcome.ingest["quarantined"]
-        assert result.ingest.to_dict()["by_class"] == outcome.ingest["by_class"]
-        assert result.ingest.to_dict()["by_phone"] == outcome.ingest["by_phone"]
+    outcome = run_faulty_campaign(config, plan)
+    result = run_sharded_campaign(config, shards=5, plan=plan)
+    assert canonical(result.summary.to_dict()) == canonical(
+        outcome.summary.to_dict()
+    )
+    assert result.ingest.quarantined == outcome.ingest["quarantined"]
+    assert result.ingest.to_dict()["by_class"] == outcome.ingest["by_class"]
+    assert result.ingest.to_dict()["by_phone"] == outcome.ingest["by_phone"]
 
 
 def test_shard_cache_round_trip(tmp_path, config, monolithic):
@@ -284,7 +273,6 @@ def test_workqueue_streaming_matches_monolithic(config, monolithic):
     streamed = run_sharded_campaign(
         config, shards=3, workers=2, executor="workqueue"
     )
-    assert streamed.executor == "workqueue"
     assert canonical(streamed.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )
