@@ -26,13 +26,19 @@ Nine subcommands cover the whole study:
 * ``megafleet`` — run one large campaign as K deterministic
   per-phone-range shards with streaming merge: peak memory is bounded
   by the largest shard, and the merged summary is bit-identical to the
-  monolithic run (``--verify`` proves it in-process).  ``--live``
-  streams worker heartbeats into a durable op-log and prints rolling
-  fleet KPIs without changing a single result bit;
+  monolithic run (``--verify`` proves it in-process).  ``--cache DIR``
+  is the run directory: shards are committed there, and a rerun (after
+  a ``kill -9`` or not) adopts every committed shard of the same
+  campaign and computes only the rest.  ``--live`` streams worker
+  heartbeats into a durable op-log and prints rolling fleet KPIs
+  without changing a single result bit;
 * ``monitor``  — tail a live (or crashed) campaign's op-log from
   another terminal: refreshing dashboard of committed progress,
   rolling MTBF/panic-mix/quarantine KPIs, per-worker throughput, ETA,
   and a Prometheus text snapshot (``metrics.prom``) on every fold.
+
+An invalid configuration (``--phones 0``, ``--window -5``, ...) exits 1
+with a one-line ``repro <command>: <message>`` on stderr.
 
 Usage::
 
@@ -66,7 +72,7 @@ from repro.analysis.ingest import Dataset
 from repro.analysis.report import build_report
 from repro.analysis.tables import render_table
 from repro.core.clock import MONTH
-from repro.core.errors import AnalysisError
+from repro.core.errors import AnalysisError, ConfigError
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
 from repro.experiments.compare import headline_comparison
@@ -315,15 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(benchmarks work stealing)",
     )
     megafleet.add_argument(
-        "--spill", metavar="DIR", default=None,
-        help="directory for shard commits when no --cache is given "
-        "(default: a private temp dir, removed after the merge)",
-    )
-    megafleet.add_argument(
         "--cache", metavar="DIR", default=None,
-        help="cache shard results here; repeated runs re-merge for "
-        "free, and an interrupted (even kill -9) run resumes from its "
-        "committed shards",
+        help="run directory for shard commits; a repeated run re-merges "
+        "for free, and an interrupted (even kill -9) run resumes from "
+        "its committed shards (default: a private temp dir, removed "
+        "after the merge)",
     )
     megafleet.add_argument(
         "--window", type=float, default=DEFAULT_WINDOW,
@@ -332,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     megafleet.add_argument(
         "--live", action="store_true",
         help="stream worker heartbeats into a durable op-log under the "
-        "run directory (--cache or --spill), print rolling fleet KPIs "
+        "run directory (--cache), print rolling fleet KPIs "
         "to stderr, and write a Prometheus snapshot (metrics.prom) on "
         "each fold; 'repro monitor <dir>' can watch from another "
         "terminal.  Results are bit-identical to a non-live run",
@@ -359,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     monitor.add_argument(
         "run_dir",
-        help="the campaign's run directory (the --cache/--spill dir of "
-        "a 'megafleet --live' run; holds the live/ op-log and the "
+        help="the campaign's run directory (the --cache dir of a "
+        "'megafleet --live' run; holds the live/ op-log and the "
         "committed shards)",
     )
     monitor.add_argument(
@@ -683,10 +685,11 @@ def _json_finite(value: float) -> object:
 
 
 def _cmd_megafleet(args: argparse.Namespace) -> int:
+    import os
     import resource
     from time import perf_counter
 
-    from repro.experiments.shard import run_sharded_campaign, shard_cache
+    from repro.experiments.shard import run_sharded_campaign
     from repro.experiments.summary import CampaignSummary, headline_figures
 
     if args.workers < 1:
@@ -698,10 +701,13 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         coalescence_window=args.window,
     )
-    try:
-        cache = shard_cache(args.cache) if args.cache else None
-    except OSError as exc:
-        raise SystemExit(f"cannot use cache directory {args.cache!r}: {exc}")
+    if args.cache:
+        try:
+            os.makedirs(args.cache, exist_ok=True)
+        except OSError as exc:
+            raise SystemExit(
+                f"cannot use cache directory {args.cache!r}: {exc}"
+            )
     weights = None
     if args.skew is not None:
         if args.skew <= 0:
@@ -720,9 +726,8 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
             config,
             shards=args.shards,
             workers=args.workers,
-            cache=cache,
             retries=args.retries,
-            spill_dir=args.spill,
+            spill_dir=args.cache,
             weights=weights,
             live=args.live,
             progress=progress,
@@ -757,13 +762,6 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
             for key, value in headline_figures(summary).items()
         },
     }
-    if cache is not None:
-        report["cache"] = {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "entries": len(cache),
-        }
-
     verified: Optional[bool] = None
     if args.verify:
         mono = CampaignSummary.from_result(run_campaign(config))
@@ -796,10 +794,11 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
                 f"{value:.2f}" if isinstance(value, float) else str(value)
             )
             lines.append(f"{key}: {rendered}")
-        if cache is not None:
+        if args.cache:
+            resumed = result.stats.resumed_shards
             lines.append(
-                f"cache {args.cache}: {cache.hits} hits, "
-                f"{cache.misses} misses, {len(cache)} entries"
+                f"run dir {args.cache}: {resumed} shards resumed, "
+                f"{result.shard_count - resumed} executed"
             )
         print("\n".join(lines))
     if args.output:
@@ -880,28 +879,27 @@ def _cmd_forum(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "campaign": _cmd_campaign,
+    "analyze": _cmd_analyze,
+    "sweep": _cmd_sweep,
+    "forum": _cmd_forum,
+    "perf": _cmd_perf,
+    "trace": _cmd_trace,
+    "faults": _cmd_faults,
+    "megafleet": _cmd_megafleet,
+    "monitor": _cmd_monitor,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "forum":
-        return _cmd_forum(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "megafleet":
-        return _cmd_megafleet(args)
-    if args.command == "monitor":
-        return _cmd_monitor(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from repro.experiments.runner import (
 from repro.experiments.shard import (
     CommittedShard,
     MegafleetResult,
-    MergedCampaign,
     ShardResult,
     ShardTask,
     load_shard_file,
@@ -48,7 +47,6 @@ from repro.experiments.shard import (
     plan_shards,
     run_sharded_campaign,
     scan_committed_shards,
-    shard_cache,
 )
 from repro.experiments.summary import (
     HEADLINE_KEYS,
@@ -79,7 +77,6 @@ __all__ = [
     "WorkQueueExecutor",
     "CommittedShard",
     "MegafleetResult",
-    "MergedCampaign",
     "ShardResult",
     "ShardTask",
     "load_shard_file",
@@ -88,5 +85,4 @@ __all__ = [
     "plan_shards",
     "run_sharded_campaign",
     "scan_committed_shards",
-    "shard_cache",
 ]

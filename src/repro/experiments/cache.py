@@ -48,20 +48,17 @@ def campaign_cache_key(config: CampaignConfig) -> str:
 
 
 class CampaignCache:
-    """A directory of cached campaign-result JSON files.
+    """A directory of cached :class:`CampaignSummary` JSON files.
 
-    Entries are :class:`CampaignSummary` payloads by default;
-    ``loader`` substitutes the deserializer (e.g.
-    :meth:`~repro.experiments.shard.ShardResult.from_dict` for shard
-    caches).  A loader must raise ``ValueError``/``KeyError``/
-    ``TypeError`` on untrusted payloads so foreign entries are evicted
-    as corrupt instead of being misread.
+    :meth:`put` is also the sharded campaign's atomic commit step: it
+    stores any payload with a ``to_dict()`` (a shard result), which the
+    committed-shard ledger in :mod:`repro.experiments.shard` reads back;
+    :meth:`get` only ever deserializes summaries.
     """
 
-    def __init__(self, directory: str, loader=None) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self._loader = loader if loader is not None else CampaignSummary.from_dict
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -96,7 +93,7 @@ class CampaignCache:
                 raise ValueError("key mismatch")
             if entry.get("format_version") != SUMMARY_FORMAT_VERSION:
                 raise ValueError("format version mismatch")
-            summary = self._loader(entry["summary"])
+            summary = CampaignSummary.from_dict(entry["summary"])
         except FileNotFoundError:
             self.misses += 1
             if lookups is not None:

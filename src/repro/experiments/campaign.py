@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.analysis.ingest import Dataset
 from repro.analysis.report import ReproductionReport, build_report
@@ -12,7 +12,7 @@ from repro.experiments.config import CampaignConfig
 from repro.observability.telemetry import Telemetry, current_telemetry
 from repro.phone.fleet import Fleet
 
-__all__ = ["CampaignResult", "run_campaign"]
+__all__ = ["CampaignResult", "run_campaign", "simulate_and_ingest"]
 
 
 @dataclass
@@ -55,6 +55,58 @@ def _sample_ingest_metrics(registry, dataset: Dataset) -> None:
             quarantined.series(corruption=cls).value += float(count)
 
 
+def simulate_and_ingest(
+    config: CampaignConfig,
+    tel: Telemetry,
+    collector: Optional[object],
+    span: str,
+    stage: str,
+    analyse: Callable[[Dataset], Any],
+    hold_gc: bool,
+    **span_args: Any,
+) -> Tuple[Fleet, Dataset, Any, Dict[str, Any]]:
+    """The simulate+ingest core every campaign (or shard) runs.
+
+    Builds ``config``'s fleet, then under one ``span`` (category
+    ``campaign``) runs the ``simulate`` and ``ingest`` stages and a
+    third stage named ``stage`` that applies ``analyse`` to the
+    dataset.  ``hold_gc`` suspends cyclic GC across the three stages.
+    With metrics on, fleet and ingest counters are sampled after the
+    span.  Returns ``(fleet, dataset, analyse(dataset), snapshot)``,
+    where ``snapshot`` is ``tel.snapshot()`` or ``{}``.
+    """
+    with tel.installed():
+        fleet = Fleet(config.fleet, seed=config.seed, collector=collector)
+        gc_held = hold_gc and gc.isenabled()
+        if gc_held:
+            gc.disable()
+        try:
+            with tel.span(
+                span,
+                category="campaign",
+                seed=config.seed,
+                phones=config.fleet.phone_count,
+                **span_args,
+            ):
+                with tel.span("simulate", category="stage"):
+                    fleet.run()
+                with tel.span("ingest", category="stage"):
+                    dataset = Dataset.from_collector(
+                        fleet.collector, end_time=config.fleet.duration
+                    )
+                with tel.span(stage, category="stage"):
+                    analysed = analyse(dataset)
+        finally:
+            if gc_held:
+                gc.enable()
+        snapshot: Dict[str, Any] = {}
+        if tel.metrics:
+            fleet.sample_metrics(tel.registry)
+            _sample_ingest_metrics(tel.registry, dataset)
+            snapshot = tel.snapshot()
+    return fleet, dataset, analysed, snapshot
+
+
 def run_campaign(
     config: Optional[CampaignConfig] = None,
     collector: Optional[object] = None,
@@ -74,38 +126,19 @@ def run_campaign(
     """
     config = config if config is not None else CampaignConfig.paper_scale()
     tel = telemetry if telemetry is not None else current_telemetry()
-    with tel.installed():
-        fleet = Fleet(config.fleet, seed=config.seed, collector=collector)
-        # Suspend cyclic GC across the whole pipeline, not just the event
-        # loop (Fleet.run nests its own suspension, which is a no-op here):
-        # re-enabling between stages would trigger a generation-2 pass over
-        # the full campaign graph right in the middle of ingest.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            with tel.span(
-                "campaign",
-                category="campaign",
-                seed=config.seed,
-                phones=config.fleet.phone_count,
-            ):
-                with tel.span("simulate", category="stage"):
-                    fleet.run()
-                with tel.span("ingest", category="stage"):
-                    dataset = Dataset.from_collector(
-                        fleet.collector, end_time=config.fleet.duration
-                    )
-                with tel.span("report", category="stage"):
-                    report = build_report(dataset, window=config.coalescence_window)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        snapshot: Dict[str, Any] = {}
-        if tel.metrics:
-            fleet.sample_metrics(tel.registry)
-            _sample_ingest_metrics(tel.registry, dataset)
-            snapshot = tel.snapshot()
+    # Cyclic GC stays suspended across the whole pipeline, not just the
+    # event loop (Fleet.run nests its own suspension, which is a no-op
+    # here): re-enabling between stages would trigger a generation-2
+    # pass over the full campaign graph right in the middle of ingest.
+    fleet, dataset, report, snapshot = simulate_and_ingest(
+        config,
+        tel,
+        collector,
+        span="campaign",
+        stage="report",
+        analyse=lambda data: build_report(data, window=config.coalescence_window),
+        hold_gc=True,
+    )
     return CampaignResult(
         config=config,
         fleet=fleet,

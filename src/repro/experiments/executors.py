@@ -67,13 +67,16 @@ EXECUTOR_WORKQUEUE = "workqueue"
 DEFAULT_MIN_SPLIT_PHONES = 32
 
 #: Dispatch-time split target: chunks aim for
-#: ``remaining / (workers * oversubscribe)`` phones, so the tail of the
+#: ``remaining / (workers * OVERSUBSCRIBE)`` phones, so the tail of the
 #: run always has a few chunks per worker to balance over.
-DEFAULT_OVERSUBSCRIBE = 4
+OVERSUBSCRIBE = 4
 
 #: Coordinator poll interval (seconds) while waiting for worker acks;
 #: bounds how quickly dead workers and watchdog deadlines are noticed.
-DEFAULT_POLL_INTERVAL = 0.05
+POLL_INTERVAL = 0.05
+
+#: Worker respawns allowed per run (dead or hung workers), per worker.
+RESTARTS_PER_WORKER = 2
 
 
 class CampaignExecutionError(RuntimeError):
@@ -272,9 +275,6 @@ class WorkQueueExecutor:
         workers: int = 4,
         steal: bool = True,
         min_split_phones: int = DEFAULT_MIN_SPLIT_PHONES,
-        oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-        worker_restarts: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -282,12 +282,6 @@ class WorkQueueExecutor:
         self.stats = ExecutorStats()
         self.steal = steal
         self.min_split_phones = max(1, min_split_phones)
-        self.oversubscribe = max(1, oversubscribe)
-        self.poll_interval = poll_interval
-        #: Total worker respawns allowed per run (dead or hung workers).
-        self.worker_restarts = (
-            worker_restarts if worker_restarts is not None else 2 * workers
-        )
 
     def run(
         self,
@@ -488,7 +482,7 @@ class WorkQueueExecutor:
         failures: Dict[Any, int] = {}
         #: Worker deaths per key, each allowed at least one re-dispatch.
         deaths: Dict[Any, int] = {}
-        restarts_left = self.worker_restarts
+        restarts_left = RESTARTS_PER_WORKER * self.workers
         next_wid = worker_count
 
         def dispatch(wid: int) -> None:
@@ -505,7 +499,7 @@ class WorkQueueExecutor:
                 ) + sum(size_fn(f.config) for f in inflight.values())
                 target = max(
                     self.min_split_phones,
-                    -(-remaining // (max(1, len(processes)) * self.oversubscribe)),
+                    -(-remaining // (max(1, len(processes)) * OVERSUBSCRIBE)),
                 )
                 while (
                     size_fn(config) > target
@@ -611,7 +605,7 @@ class WorkQueueExecutor:
                     )
                 try:
                     kind, wid, _task_id, payload = outbox.get(
-                        timeout=self.poll_interval
+                        timeout=POLL_INTERVAL
                     )
                 except Empty:
                     now = perf_counter()

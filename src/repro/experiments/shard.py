@@ -63,10 +63,10 @@ from typing import (
     Union,
 )
 
-from repro.analysis.ingest import Dataset, IngestReport
+from repro.analysis.ingest import IngestReport
 from repro.analysis.streaming import CampaignAccumulator
 from repro.experiments.cache import CampaignCache
-from repro.experiments.campaign import _sample_ingest_metrics
+from repro.experiments.campaign import simulate_and_ingest
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
     EXECUTOR_WORKQUEUE,
@@ -81,13 +81,9 @@ from repro.observability.telemetry import (
     TELEMETRY_OFF,
     Telemetry,
 )
-from repro.phone.fleet import (
-    GROUND_TRUTH_KEYS,
-    Fleet,
-    accumulate_ground_truth,
-)
+from repro.phone.fleet import GROUND_TRUTH_KEYS, accumulate_ground_truth
 
-#: Version stamp of the shard-result wire format (cache entries).
+#: Version stamp of the shard-result wire format (committed files).
 #: v2 added ``events_fired`` and hardened the loader.
 #: v3 added the live op-log linkage (``stream``/``delta_seq``) so a
 #: committed shard's heartbeat deltas fold exactly once across kill-9
@@ -116,7 +112,7 @@ def plan_shards(
     Ranges are contiguous and near-even (the first ``phone_count %
     shards`` shards get one extra phone), so the plan is a pure
     function of ``(phone_count, shards)`` — identical plans produce
-    identical cache keys run after run.  ``weights`` makes the sizes
+    identical commit paths run after run.  ``weights`` makes the sizes
     proportional instead (largest-remainder apportionment, every shard
     at least one phone) — the knob benchmarks use to build
     deliberately skewed long-tail plans.
@@ -225,7 +221,7 @@ class ShardResult:
         return self.accumulator.phone_count
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-native snapshot (the cache / wire format)."""
+        """JSON-native snapshot (the committed-file / wire format)."""
         return {
             "format_version": self.format_version,
             "phone_range": list(self.phone_range),
@@ -246,9 +242,8 @@ class ShardResult:
         Raises :class:`ValueError` on any wire-format violation —
         wrong or missing format version, truncated payload (missing
         keys, ground truth shorter than the phone range), a malformed
-        or empty range, a foreign payload — so a cache configured with
-        this loader evicts bad entries as corrupt instead of misreading
-        them, and the resume scan skips them instead of adopting them.
+        or empty range, a foreign payload — so the resume scan skips
+        bad committed files instead of adopting them.
         """
         if not isinstance(data, dict):
             raise ValueError(
@@ -416,30 +411,18 @@ class ShardTask:
         tel: Telemetry,
         collector: Optional[object],
     ) -> ShardResult:
-        with tel.installed():
-            fleet = Fleet(config.fleet, seed=config.seed, collector=collector)
-            with tel.span(
-                "shard",
-                category="campaign",
-                seed=config.seed,
-                phones=config.fleet.phone_count,
-                phone_range=list(config.fleet.resolved_range()),
-            ):
-                with tel.span("simulate", category="stage"):
-                    fleet.run()
-                with tel.span("ingest", category="stage"):
-                    dataset = Dataset.from_collector(
-                        fleet.collector, end_time=config.fleet.duration
-                    )
-                with tel.span("reduce", category="stage"):
-                    accumulator = CampaignAccumulator.from_dataset(
-                        dataset, window=config.coalescence_window
-                    )
-            snapshot: Dict[str, Any] = {}
-            if tel.metrics:
-                fleet.sample_metrics(tel.registry)
-                _sample_ingest_metrics(tel.registry, dataset)
-                snapshot = tel.snapshot()
+        fleet, dataset, accumulator, snapshot = simulate_and_ingest(
+            config,
+            tel,
+            collector,
+            span="shard",
+            stage="reduce",
+            analyse=lambda data: CampaignAccumulator.from_dataset(
+                data, window=config.coalescence_window
+            ),
+            hold_gc=False,
+            phone_range=list(config.fleet.resolved_range()),
+        )
         return ShardResult(
             phone_range=config.fleet.resolved_range(),
             config=config.to_dict(),
@@ -449,16 +432,6 @@ class ShardTask:
             telemetry=snapshot,
             events_fired=fleet.sim.events_fired,
         )
-
-
-def shard_cache(directory: str) -> CampaignCache:
-    """A :class:`CampaignCache` that stores :class:`ShardResult` entries.
-
-    Keyed exactly like summary caches — the shard's ``phone_range``
-    rides inside its config, so every shard of every plan gets its own
-    slot — but deserialized through :meth:`ShardResult.from_dict`.
-    """
-    return CampaignCache(directory, loader=ShardResult.from_dict)
 
 
 # -- the committed-shard ledger (resume, live fold, final merge) ---------------
@@ -473,7 +446,7 @@ class CommittedShard:
 
 
 def load_shard_file(path: str) -> ShardResult:
-    """Read one committed shard cache entry back from disk.
+    """Read one committed shard file back from disk.
 
     Raises :class:`ValueError` (with the path) on anything untrusted:
     unreadable bytes, a foreign or stale entry, a truncated payload.
@@ -533,7 +506,8 @@ def read_committed_shard(path: str, campaign: Dict[str, Any]) -> ShardResult:
 def scan_committed_shards(
     cache: CampaignCache, config: CampaignConfig
 ) -> List[CommittedShard]:
-    """Every committed shard of ``config`` in the cache, by range start.
+    """Every committed shard of ``config`` in ``cache``'s run directory,
+    by range start.
 
     Used by the resume path after a crash; each file goes through
     :func:`read_committed_shard` and anything it rejects is skipped.
@@ -622,18 +596,38 @@ def _plan_gap_ranges(
 
 
 @dataclass
-class MergedCampaign:
-    """Everything one merge pass produced, beyond the summary itself."""
+class MegafleetResult:
+    """What one sharded campaign produced, beyond the summary itself."""
 
     summary: CampaignSummary
-    ingest: IngestReport
+    #: The shard tiling actually executed (finer than the plan when
+    #: work stealing split a long-tailed range), in phone-index order.
     shard_ranges: List[Tuple[int, int]]
+    #: Merged quarantine accounting across every shard.
+    ingest: IngestReport
+    #: Steal / retry / resume / restart tallies for the run (empty for
+    #: a bare merge; :func:`run_sharded_campaign` attaches its own).
+    stats: ExecutorStats = field(default_factory=ExecutorStats)
+    #: Aggregate simulator events fired across every shard.
     events_fired: int = 0
+
+    @property
+    def shard_count(self) -> int:
+        return len(self.shard_ranges)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "summary": self.summary.to_dict(),
+            "shard_ranges": [list(r) for r in self.shard_ranges],
+            "ingest": self.ingest.to_dict(),
+            "counters": self.stats.to_dict(),
+            "events_fired": self.events_fired,
+        }
 
 
 def _merge_stream(
     results: Iterable[ShardResult], config: CampaignConfig
-) -> MergedCampaign:
+) -> MegafleetResult:
     """Fold shard results — in ascending range order — one at a time.
 
     The single incremental pass behind every merge: tiling is
@@ -694,10 +688,10 @@ def _merge_stream(
         sections=accumulator.sections(),
         telemetry=telemetry,
     )
-    return MergedCampaign(
+    return MegafleetResult(
         summary=summary,
-        ingest=ingest,
         shard_ranges=ranges,
+        ingest=ingest,
         events_fired=events,
     )
 
@@ -720,7 +714,7 @@ def merge_shards(
 
 def merge_shard_files(
     shard_files: Sequence[CommittedShard], config: CampaignConfig
-) -> MergedCampaign:
+) -> MegafleetResult:
     """Streaming (spill-to-disk) merge: fold shard files one at a time.
 
     Each committed file is read — through the ledger's
@@ -744,35 +738,6 @@ def merge_shard_files(
             yield result
 
     return _merge_stream(load(), config)
-
-
-@dataclass
-class MegafleetResult:
-    """What one sharded campaign produced, beyond the summary itself."""
-
-    summary: CampaignSummary
-    #: The shard tiling actually executed (finer than the plan when
-    #: work stealing split a long-tailed range), in phone-index order.
-    shard_ranges: List[Tuple[int, int]]
-    #: Merged quarantine accounting across every shard.
-    ingest: IngestReport
-    #: Steal / retry / resume / restart tallies for the run.
-    stats: ExecutorStats = field(default_factory=ExecutorStats)
-    #: Aggregate simulator events fired across every shard.
-    events_fired: int = 0
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shard_ranges)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "summary": self.summary.to_dict(),
-            "shard_ranges": [list(r) for r in self.shard_ranges],
-            "ingest": self.ingest.to_dict(),
-            "counters": self.stats.to_dict(),
-            "events_fired": self.events_fired,
-        }
 
 
 def _announce_campaign(
@@ -802,11 +767,9 @@ def run_sharded_campaign(
     config: CampaignConfig,
     shards: int,
     workers: int = 1,
-    cache: Optional[CampaignCache] = None,
     plan: Optional[object] = None,
     telemetry_level: Optional[str] = None,
     retries: int = 0,
-    timeout: Optional[float] = None,
     executor: Union[str, WorkQueueExecutor] = EXECUTOR_WORKQUEUE,
     spill_dir: Optional[str] = None,
     weights: Optional[Sequence[float]] = None,
@@ -820,18 +783,20 @@ def run_sharded_campaign(
     ``workers`` processes steal from long-tailed ranges, and every
     completed shard is durably committed to the run directory *before*
     it is acknowledged, so ``kill -9`` mid-run loses only in-flight
-    shards.  The run directory is the ``cache``'s, else ``spill_dir``,
-    else a private temp dir removed after the merge.  The merge folds
-    the committed files one at a time (:func:`merge_shard_files`), so
-    parent peak RSS is flat in shard count, and the merged summary is
-    bit-identical to the monolithic run (telemetry counters aside; see
-    module docs).
+    shards.  The merge folds the committed files one at a time
+    (:func:`merge_shard_files`), so parent peak RSS is flat in shard
+    count, and the merged summary is bit-identical to the monolithic
+    run (telemetry counters aside; see module docs).
 
-    With a ``cache``, any run first scans for shards already committed
-    by an earlier (possibly killed) run of the same campaign, counts
-    them as resumed, and computes only the uncovered gaps — a restart
-    after a crash converges on the same bit-identical summary as an
-    uninterrupted run.
+    ``spill_dir`` is the run directory.  Every run on it first scans
+    for shards of this campaign already committed there by an earlier
+    (possibly killed) run, adopts them as resumed, and computes only
+    the uncovered gaps — a restart after a crash converges on the same
+    bit-identical summary as an uninterrupted run.  The ledger's
+    identity check (:func:`read_committed_shard`) keeps other
+    campaigns' files and torn commits out, so any directory is safe and
+    a fresh one adopts nothing.  Without ``spill_dir`` a private temp
+    dir is used and removed after the merge.
 
     ``live=True`` turns on the live telemetry plane: workers heartbeat
     into a durable op-log under ``<run-dir>/live/``, the coordinator
@@ -844,53 +809,45 @@ def run_sharded_campaign(
     """
     backend = resolve_executor(executor, workers)
     task_configs = plan_shards(config, shards, weights=weights)
-    committed: List[CommittedShard] = []
-    if cache is not None:
+    temp_dir: Optional[str] = None
+    if spill_dir is None:
+        run_dir = temp_dir = tempfile.mkdtemp(prefix="repro-shards-")
+    else:
+        run_dir = spill_dir
+    try:
+        commits = CampaignCache(run_dir)
         committed, gaps = _resume_plan(
-            scan_committed_shards(cache, config), config.fleet.phone_count
+            scan_committed_shards(commits, config), config.fleet.phone_count
         )
         if committed:
             backend.stats.resumed_shards += len(committed)
-            cache.hits += len(committed)
             target = -(-config.fleet.phone_count // shards)
             task_configs = [
                 _slice_config(config, start, stop)
                 for start, stop in _plan_gap_ranges(gaps, target)
             ]
-        cache.misses += len(task_configs)
-
-    temp_dir: Optional[str] = None
-    if cache is not None:
-        commit_dir = cache.directory
-    elif spill_dir is not None:
-        commit_dir = spill_dir
-    else:
-        commit_dir = temp_dir = tempfile.mkdtemp(prefix="repro-shards-")
-    try:
         live_dir: Optional[str] = None
         if live:
             from repro.observability.live import live_dir_for
 
-            live_dir = live_dir_for(commit_dir)
+            live_dir = live_dir_for(run_dir)
             _announce_campaign(live_dir, config, shards, backend.workers)
         completed = backend.execute_shards(
             [(cfg.fleet.resolved_range(), cfg) for cfg in task_configs],
             ShardTask(
                 telemetry_level=telemetry_level, plan=plan, live_dir=live_dir
             ),
-            commit_dir,
+            run_dir,
             retries=retries,
-            timeout=timeout,
             splitter=split_shard_config,
             size_fn=shard_config_size,
             live_dir=live_dir,
             progress=progress,
         )
-        commit_cache = CampaignCache(commit_dir)
-        merged = merge_shard_files(
+        result = merge_shard_files(
             committed
             + [
-                CommittedShard(rng, commit_cache.path_for(cfg))
+                CommittedShard(rng, commits.path_for(cfg))
                 for rng, cfg in completed
             ],
             config,
@@ -898,10 +855,5 @@ def run_sharded_campaign(
     finally:
         if temp_dir is not None:
             shutil.rmtree(temp_dir, ignore_errors=True)
-    return MegafleetResult(
-        summary=merged.summary,
-        shard_ranges=merged.shard_ranges,
-        ingest=merged.ingest,
-        stats=backend.stats,
-        events_fired=merged.events_fired,
-    )
+    result.stats = backend.stats
+    return result

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.errors import ConfigError
 from repro.core.rand import RandomStreams
 from repro.forum import taxonomy as T
 from repro.forum import vocabulary as V
@@ -139,6 +140,16 @@ class CorpusConfig:
     activity_target: Dict[str, float] = field(
         default_factory=lambda: dict(ACTIVITY_TARGET)
     )
+
+    def __post_init__(self) -> None:
+        if self.failure_reports < 1:
+            raise ConfigError(
+                f"failure_reports must be >= 1, got {self.failure_reports}"
+            )
+        if not 0.0 <= self.noise_level <= 1.0:
+            raise ConfigError(
+                f"noise_level must be in [0, 1], got {self.noise_level}"
+            )
 
 
 FORUMS = (

@@ -10,7 +10,7 @@ to be a black box until its final merge.  This module makes a running
   plus a delta telemetry snapshot — to its own append-only JSONL file
   under ``<run-dir>/live/``.  A record is one complete line written
   with a single ``os.write`` on an ``O_APPEND`` descriptor, the
-  streaming analogue of the shard cache's tmp+rename commit: a reader
+  streaming analogue of the shard commit's tmp+rename: a reader
   sees a whole record or nothing, and a torn tail from a kill -9 is
   skipped, never misread.
 
@@ -108,7 +108,7 @@ class OpLogWriter:
     so concurrent workers never interleave partial lines.  Each record
     is serialized to a single line and written with one ``os.write`` on
     an ``O_APPEND`` descriptor — visible to readers atomically,
-    mirroring the commit-before-ack discipline of the shard cache at
+    mirroring the commit-before-ack discipline of shard commits at
     the granularity of one record.  ``clock`` (monotonic seconds)
     drives heartbeat throttling.
     """

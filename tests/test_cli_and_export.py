@@ -124,6 +124,29 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["launch-rockets"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--phones", "0"],
+            ["campaign", "--months", "0"],
+            ["sweep", "--window", "-5"],
+            ["megafleet", "--window", "0"],
+            ["trace", "OUT", "--phones", "0"],
+            ["perf", "--phones", "0"],
+            ["forum", "--reports", "0"],
+            ["forum", "--noise", "3"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_config_errors_exit_1_with_one_line(self, argv, tmp_path, capsys):
+        """An invalid configuration is a one-line message, not a
+        traceback — and never silently accepted."""
+        argv = [str(tmp_path / arg) if arg == "OUT" else arg for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: ")
+        assert err.count("\n") == 1
+
 
 class TestAnalyzeFlags:
     """`analyze` accepts the same rendering knobs as `campaign`, so an

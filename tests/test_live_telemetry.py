@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.clock import MONTH
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
-from repro.experiments.shard import run_sharded_campaign, shard_cache
+from repro.experiments.shard import run_sharded_campaign
 from repro.experiments.summary import CampaignSummary
 from repro.observability.export import (
     PID_EXEC,
@@ -331,13 +331,12 @@ class TestExactlyOnceFold:
     def test_committed_stream_subsumes_live_deltas(self, tmp_path, config):
         """After a shard commits, its op-log stream must not double into
         the fold: the committed telemetry snapshot is the truth."""
-        cache = shard_cache(str(tmp_path))
         run_sharded_campaign(
             config,
             shards=2,
             workers=2,
             executor="workqueue",
-            cache=cache,
+            spill_dir=str(tmp_path),
             telemetry_level="metrics",
             live=True,
         )
@@ -364,7 +363,7 @@ class TestLiveIsPureObserver:
             shards=3,
             workers=2,
             executor="workqueue",
-            cache=shard_cache(str(tmp_path / "live_run")),
+            spill_dir=str(tmp_path / "live_run"),
             live=True,
         )
         plain_result = run_sharded_campaign(
@@ -372,7 +371,7 @@ class TestLiveIsPureObserver:
             shards=3,
             workers=2,
             executor="workqueue",
-            cache=shard_cache(str(tmp_path / "plain_run")),
+            spill_dir=str(tmp_path / "plain_run"),
         )
         assert canonical(live_result.summary.to_dict()) == canonical(
             plain_result.summary.to_dict()
@@ -391,10 +390,9 @@ class TestLiveIsPureObserver:
         """The kill-9 differential: lose committed shards, resume with
         --live still on, land on the same bits — with op-log streams
         from both attempts on disk."""
-        cache = shard_cache(str(tmp_path))
         run_sharded_campaign(
             config, shards=4, workers=2, executor="workqueue",
-            cache=cache, live=True,
+            spill_dir=str(tmp_path), live=True,
         )
         files = sorted(
             name for name in os.listdir(tmp_path) if name.endswith(".json")
@@ -404,7 +402,7 @@ class TestLiveIsPureObserver:
             os.remove(tmp_path / name)
         resumed = run_sharded_campaign(
             config, shards=4, workers=2, executor="workqueue",
-            cache=shard_cache(str(tmp_path)), live=True,
+            spill_dir=str(tmp_path), live=True,
         )
         assert resumed.stats.resumed_shards == 2
         assert canonical(resumed.summary.to_dict()) == canonical(
@@ -420,7 +418,7 @@ class TestLiveIsPureObserver:
             config,
             shards=3,
             workers=1,
-            cache=shard_cache(str(tmp_path)),
+            spill_dir=str(tmp_path),
             live=True,
         )
         assert canonical(result.summary.to_dict()) == canonical(
@@ -445,11 +443,11 @@ class TestLiveIsPureObserver:
         (a wider stale shard used to win the greedy adoption)."""
         run_sharded_campaign(
             make_config(seed=1), shards=2, workers=2,
-            cache=shard_cache(str(tmp_path)), live=True,
+            spill_dir=str(tmp_path), live=True,
         )
         second = run_sharded_campaign(
             make_config(seed=2), shards=4, workers=2,
-            cache=shard_cache(str(tmp_path)), live=True,
+            spill_dir=str(tmp_path), live=True,
         )
         folder = LiveFolder(str(tmp_path))
         snapshot = folder.fold()
@@ -466,11 +464,9 @@ class TestLiveIsPureObserver:
 
     def test_shard_wire_carries_stream_linkage(self, tmp_path, config):
         from repro.experiments.shard import load_shard_file
-
-        cache = shard_cache(str(tmp_path))
         run_sharded_campaign(
             config, shards=2, workers=2, executor="workqueue",
-            cache=cache, live=True,
+            spill_dir=str(tmp_path), live=True,
         )
         for name in sorted(os.listdir(tmp_path)):
             if not name.endswith(".json"):
@@ -517,10 +513,9 @@ class TestPrometheus:
         ]
 
     def test_snapshot_gauges(self, tmp_path, config):
-        cache = shard_cache(str(tmp_path))
         run_sharded_campaign(
             config, shards=2, workers=2, executor="workqueue",
-            cache=cache, live=True,
+            spill_dir=str(tmp_path), live=True,
         )
         snapshot = LiveFolder(str(tmp_path)).fold()
         gauges = prom_gauges(snapshot)
@@ -543,10 +538,9 @@ class TestRendering:
         assert line[0] == "▁" and line[-1] == "█"
 
     def test_dashboard_and_progress_line(self, tmp_path, config):
-        cache = shard_cache(str(tmp_path))
         run_sharded_campaign(
             config, shards=2, workers=2, executor="workqueue",
-            cache=cache, live=True,
+            spill_dir=str(tmp_path), live=True,
         )
         snapshot = LiveFolder(str(tmp_path)).fold()
         text = render_dashboard(snapshot)
@@ -616,7 +610,7 @@ class TestExecutorTraceGroup:
                 shards=2,
                 workers=2,
                 executor="workqueue",
-                cache=shard_cache(str(tmp_path)),
+                spill_dir=str(tmp_path),
             )
         trace = chrome_trace(tel.tracer, tel.registry)
         assert validate_chrome_trace(trace) == []

@@ -4,7 +4,7 @@ The whole point of :mod:`repro.experiments.shard` is that splitting one
 campaign into K per-phone-range shards changes *nothing* about the
 result — not one bit of the :class:`CampaignSummary`.  These tests pin
 that contract against a monolithic baseline for K ∈ {1, 3, 7, 25},
-on worker processes, through the shard cache, and with collection-path
+on worker processes, resumed from a run directory, and with collection-path
 fault injection enabled.  (Text ingest of a shard equals record ingest
 at the dataset level; ``test_pipeline_equivalence.py`` pins that.)
 """
@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.core.clock import MONTH
+from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import WorkQueueExecutor
@@ -31,7 +32,6 @@ from repro.experiments.shard import (
     merge_shards,
     plan_shards,
     run_sharded_campaign,
-    shard_cache,
 )
 from repro.experiments.summary import (
     SUMMARY_FORMAT_VERSION,
@@ -102,39 +102,27 @@ def test_faulty_campaign_shards_match_monolithic(config):
     assert result.ingest.to_dict()["by_phone"] == outcome.ingest["by_phone"]
 
 
-def test_shard_cache_round_trip(tmp_path, config, monolithic):
-    """A second sharded run is all cache hits and still bit-identical."""
-    cache = shard_cache(str(tmp_path))
-    first = run_sharded_campaign(config, shards=3, cache=cache)
-    assert cache.misses == 3
-    assert cache.hits == 0
-    second = run_sharded_campaign(config, shards=3, cache=cache)
-    assert cache.hits == 3
+def test_spill_dir_rerun_resumes_every_shard(
+    tmp_path, monkeypatch, config, monolithic
+):
+    """A second run on the same run directory adopts every committed
+    shard, executes no task, and is still bit-identical."""
+    first = run_sharded_campaign(config, shards=3, spill_dir=str(tmp_path))
+    assert first.stats.resumed_shards == 0
+
+    def no_task(self, shard_config):
+        raise AssertionError(f"executed {shard_config.fleet.phone_range}")
+
+    monkeypatch.setattr(ShardTask, "__call__", no_task)
+    second = run_sharded_campaign(config, shards=3, spill_dir=str(tmp_path))
+    assert second.stats.resumed_shards == 3
+    assert second.shard_ranges == first.shard_ranges
     assert canonical(second.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )
     assert canonical(first.summary.to_dict()) == canonical(
         second.summary.to_dict()
     )
-
-
-def test_shard_cache_evicts_foreign_entries(tmp_path, config):
-    """A summary-format payload in a shard slot is evicted as corrupt,
-    not misread — the loaders' ValueError contract in action."""
-    cache = shard_cache(str(tmp_path))
-    shard_configs = plan_shards(config, 2)
-    path = cache.path_for(shard_configs[0])
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "key": path.rsplit("/", 1)[-1][: -len(".json")],
-                "format_version": SUMMARY_FORMAT_VERSION,
-                "summary": {"not": "a shard result"},
-            },
-            handle,
-        )
-    assert cache.get(shard_configs[0]) is None
-    assert cache.evictions == 1
 
 
 def test_plan_shards_tiles_exactly(config):
@@ -202,8 +190,8 @@ def test_shard_result_rejects_bad_payloads(config):
 
 
 def test_shard_result_wire_format_hardening(config):
-    """Every way a cache entry can rot maps to a ValueError, never to a
-    silently misread shard."""
+    """Every way a committed shard file can rot maps to a ValueError,
+    never to a silently misread shard."""
     result = ShardTask()(plan_shards(config, 5)[1])
     pristine = json.loads(json.dumps(result.to_dict()))
 
@@ -325,12 +313,12 @@ def test_plan_shards_weights_tile_exactly(config):
 
 def test_resume_from_committed_shards(tmp_path, config, monolithic):
     """Kill a run after some shards committed (simulated by deleting
-    part of the cache): the restart adopts the committed shards, counts
-    them as resumed, recomputes only the gaps, and lands on the same
-    bits."""
-    cache = shard_cache(str(tmp_path))
+    part of the run directory): the restart adopts the committed shards,
+    counts them as resumed, recomputes only the gaps, and lands on the
+    same bits."""
+    run_dir = str(tmp_path)
     first = run_sharded_campaign(
-        config, shards=5, workers=2, executor="workqueue", cache=cache
+        config, shards=5, workers=2, executor="workqueue", spill_dir=run_dir
     )
     assert canonical(first.summary.to_dict()) == canonical(
         monolithic.to_dict()
@@ -343,15 +331,15 @@ def test_resume_from_committed_shards(tmp_path, config, monolithic):
     for name in files[:2]:
         os.remove(tmp_path / name)
     resumed = run_sharded_campaign(
-        config, shards=5, workers=2, executor="workqueue", cache=cache
+        config, shards=5, workers=2, executor="workqueue", spill_dir=run_dir
     )
     assert resumed.stats.resumed_shards == 3
     assert canonical(resumed.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )
-    # A fully committed cache resumes everything and runs nothing.
+    # A fully committed run directory resumes everything, runs nothing.
     full = run_sharded_campaign(
-        config, shards=5, workers=2, executor="workqueue", cache=cache
+        config, shards=5, workers=2, executor="workqueue", spill_dir=run_dir
     )
     assert full.stats.resumed_shards == 5
     assert canonical(full.summary.to_dict()) == canonical(
@@ -362,11 +350,11 @@ def test_resume_from_committed_shards(tmp_path, config, monolithic):
 def test_in_process_run_resumes_worker_commits(tmp_path, config, monolithic):
     """Committed shards do not depend on where they ran: an in-process
     run adopts what worker processes left behind."""
-    cache = shard_cache(str(tmp_path))
     run_sharded_campaign(
-        config, shards=4, workers=2, executor="workqueue", cache=cache
+        config, shards=4, workers=2, executor="workqueue",
+        spill_dir=str(tmp_path),
     )
-    result = run_sharded_campaign(config, shards=4, cache=shard_cache(str(tmp_path)))
+    result = run_sharded_campaign(config, shards=4, spill_dir=str(tmp_path))
     assert result.stats.resumed_shards == 4
     assert canonical(result.summary.to_dict()) == canonical(
         monolithic.to_dict()
@@ -374,22 +362,35 @@ def test_in_process_run_resumes_worker_commits(tmp_path, config, monolithic):
 
 
 def test_corrupt_committed_shard_is_recomputed(tmp_path, config, monolithic):
-    """A torn commit (truncated JSON) is skipped at scan time — its
-    range is recomputed, never trusted."""
-    cache = shard_cache(str(tmp_path))
+    """A torn commit (truncated JSON) and a foreign payload (a campaign
+    summary where a shard result belongs) are skipped at scan time —
+    their ranges are recomputed, never trusted."""
     run_sharded_campaign(
-        config, shards=4, workers=2, executor="workqueue", cache=cache
+        config, shards=4, workers=2, executor="workqueue",
+        spill_dir=str(tmp_path),
     )
-    files = sorted(
-        name for name in os.listdir(tmp_path) if name.endswith(".json")
-    )
-    victim = tmp_path / files[1]
-    victim.write_text(victim.read_text()[: 200], encoding="utf-8")
+    commits = CampaignCache(str(tmp_path))
+    shard_configs = plan_shards(config, 4)
+    torn = commits.path_for(shard_configs[1])
+    with open(torn, "r", encoding="utf-8") as handle:
+        head = handle.read()[:200]
+    with open(torn, "w", encoding="utf-8") as handle:
+        handle.write(head)
+    foreign = commits.path_for(shard_configs[2])
+    with open(foreign, "w", encoding="utf-8") as handle:
+        json.dump(
+            {
+                "key": os.path.basename(foreign)[: -len(".json")],
+                "format_version": SUMMARY_FORMAT_VERSION,
+                "summary": {"not": "a shard result"},
+            },
+            handle,
+        )
     resumed = run_sharded_campaign(
         config, shards=4, workers=2, executor="workqueue",
-        cache=shard_cache(str(tmp_path)),
+        spill_dir=str(tmp_path),
     )
-    assert resumed.stats.resumed_shards == 3
+    assert resumed.stats.resumed_shards == 2
     assert canonical(resumed.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )
@@ -401,7 +402,7 @@ _KILL9_CHILD = textwrap.dedent(
 
     from repro.core.clock import MONTH
     from repro.experiments.config import CampaignConfig
-    from repro.experiments.shard import run_sharded_campaign, shard_cache
+    from repro.experiments.shard import run_sharded_campaign
     from repro.phone.fleet import FleetConfig
 
     fleet = FleetConfig(
@@ -416,7 +417,7 @@ _KILL9_CHILD = textwrap.dedent(
         shards=5,
         workers=2,
         executor="workqueue",
-        cache=shard_cache(sys.argv[1]),
+        spill_dir=sys.argv[1],
     )
     """
 )
@@ -427,16 +428,16 @@ def test_kill9_mid_run_then_resume_is_bit_identical(
 ):
     """The headline durability claim: SIGKILL the whole process tree
     mid-run, restart, and the resumed campaign is bit-identical with at
-    least one shard adopted from the committed cache."""
-    cache_dir = str(tmp_path / "cache")
-    os.makedirs(cache_dir)
+    least one shard adopted from the run directory."""
+    run_dir = str(tmp_path / "run")
+    os.makedirs(run_dir)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
     child = subprocess.Popen(
-        [sys.executable, "-c", _KILL9_CHILD, cache_dir],
+        [sys.executable, "-c", _KILL9_CHILD, run_dir],
         env=env,
         start_new_session=True,
         stdout=subprocess.DEVNULL,
@@ -447,7 +448,7 @@ def test_kill9_mid_run_then_resume_is_bit_identical(
         committed = 0
         while time.monotonic() < deadline:
             committed = sum(
-                1 for n in os.listdir(cache_dir) if n.endswith(".json")
+                1 for n in os.listdir(run_dir) if n.endswith(".json")
             )
             if committed >= 2 or child.poll() is not None:
                 break
@@ -459,11 +460,11 @@ def test_kill9_mid_run_then_resume_is_bit_identical(
     finally:
         if child.poll() is None:
             child.kill()
-    survivors = sum(1 for n in os.listdir(cache_dir) if n.endswith(".json"))
+    survivors = sum(1 for n in os.listdir(run_dir) if n.endswith(".json"))
     assert survivors >= 1, "no shard committed before the kill"
     resumed = run_sharded_campaign(
         config, shards=5, workers=2, executor="workqueue",
-        cache=shard_cache(cache_dir),
+        spill_dir=run_dir,
     )
     assert resumed.stats.resumed_shards >= 1
     assert canonical(resumed.summary.to_dict()) == canonical(
