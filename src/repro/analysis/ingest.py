@@ -11,6 +11,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -196,8 +197,10 @@ class Dataset:
         end_time: float,
         ingest_report: Optional[IngestReport] = None,
     ) -> None:
-        if end_time <= 0:
-            raise AnalysisError(f"end_time must be positive, got {end_time}")
+        if not (math.isfinite(end_time) and end_time > 0):
+            raise AnalysisError(
+                f"end_time must be positive and finite, got {end_time}"
+            )
         self.logs = logs
         self.end_time = end_time
         #: Quarantine accounting from ingestion (empty when the input

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -73,6 +74,7 @@ from repro.analysis.report import build_report
 from repro.analysis.tables import render_table
 from repro.core.clock import MONTH
 from repro.core.errors import AnalysisError, ConfigError
+from repro.core.gcpause import gc_suspended
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
 from repro.experiments.compare import headline_comparison
@@ -416,6 +418,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.window) and args.window > 0):
+        raise ConfigError(
+            f"--window must be a positive number of seconds, got {args.window}"
+        )
+    # Loading, parsing and reporting allocate a few long-lived, acyclic
+    # objects per log line, and cyclic GC passes over them free nothing.
+    # The hold ends after _analyze_dir has dropped them, so re-enabling
+    # does not start a pass over the whole dataset either.
+    with gc_suspended():
+        return _analyze_dir(args)
+
+
+def _analyze_dir(args: argparse.Namespace) -> int:
     try:
         lines = load_lines_from_dir(args.directory)
     except OSError as exc:

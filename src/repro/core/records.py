@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from sys import intern as _intern_str
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import LogFormatError
 
@@ -69,7 +69,10 @@ def _wire_interner() -> Dict[str, str]:
     the module-level constants themselves rather than fresh per-record
     allocations (hundreds of thousands of ``"voice_call"``/``"ALIVE"``
     copies per campaign otherwise).  Identity-sharing also makes every
-    downstream equality check on these fields an identity hit.
+    downstream equality check on these fields an identity hit.  The
+    parsers look values up inline (``_WIRE_STRINGS.get(value, value)``):
+    unknown strings pass through and the record constructors reject
+    them.
     """
     return {
         value: value
@@ -83,20 +86,10 @@ def _wire_interner() -> Dict[str, str]:
     }
 
 
-def intern_wire(value: str) -> str:
-    """Map an enumerated wire string to its canonical instance.
-
-    Unknown strings pass through untouched — validation stays where it
-    always was (the record constructors).
-    """
-    return _WIRE_STRINGS.get(value, value)
-
-
-def _parse_float(value: str, context: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise LogFormatError(f"bad float {value!r} in {context}") from exc
+def _bad_float(value: str, tag: str) -> LogFormatError:
+    # Built on the error path only: the ``from_fields`` parsers call
+    # ``float`` inline, so a well-formed field costs no extra frame.
+    return LogFormatError(f"bad float {value!r} in {tag}")
 
 
 def wire_time(time: float) -> float:
@@ -136,12 +129,11 @@ class EnrollRecord:
     def from_fields(cls, fields: Sequence[str]) -> "EnrollRecord":
         if len(fields) != 4:
             raise LogFormatError(f"ENROLL expects 4 fields, got {len(fields)}")
-        return cls(
-            time=_parse_float(fields[0], "ENROLL"),
-            phone_id=fields[1],
-            os_version=fields[2],
-            region=fields[3],
-        )
+        try:
+            time = float(fields[0])
+        except ValueError as exc:
+            raise _bad_float(fields[0], "ENROLL") from exc
+        return cls(time, fields[1], fields[2], fields[3])
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -183,11 +175,15 @@ class BootRecord:
     def from_fields(cls, fields: Sequence[str]) -> "BootRecord":
         if len(fields) != 3:
             raise LogFormatError(f"BOOT expects 3 fields, got {len(fields)}")
-        return cls(
-            time=_parse_float(fields[0], "BOOT"),
-            last_beat_kind=intern_wire(fields[1]),
-            last_beat_time=_parse_float(fields[2], "BOOT"),
-        )
+        try:
+            time = float(fields[0])
+        except ValueError as exc:
+            raise _bad_float(fields[0], "BOOT") from exc
+        try:
+            last_beat_time = float(fields[2])
+        except ValueError as exc:
+            raise _bad_float(fields[2], "BOOT") from exc
+        return cls(time, _WIRE_STRINGS.get(fields[1], fields[1]), last_beat_time)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -212,12 +208,11 @@ class PanicRecord:
             ptype = int(fields[2])
         except ValueError as exc:
             raise LogFormatError(f"bad panic type {fields[2]!r}") from exc
-        return cls(
-            time=_parse_float(fields[0], "PANIC"),
-            category=fields[1],
-            ptype=ptype,
-            process=fields[3],
-        )
+        try:
+            time = float(fields[0])
+        except ValueError as exc:
+            raise _bad_float(fields[0], "PANIC") from exc
+        return cls(time, fields[1], ptype, fields[3])
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -243,11 +238,21 @@ class ActivityRecord:
     def from_fields(cls, fields: Sequence[str]) -> "ActivityRecord":
         if len(fields) != 3:
             raise LogFormatError(f"ACT expects 3 fields, got {len(fields)}")
-        return cls(
-            time=_parse_float(fields[0], "ACT"),
-            kind=intern_wire(fields[1]),
-            phase=intern_wire(fields[2]),
-        )
+        try:
+            time = float(fields[0])
+        except ValueError as exc:
+            raise _bad_float(fields[0], "ACT") from exc
+        wire = _WIRE_STRINGS.get
+        return cls(time, wire(fields[1], fields[1]), wire(fields[2], fields[2]))
+
+
+def _decode_apps(raw: str) -> Tuple[str, ...]:
+    """A RUNAPP apps field (comma-separated app ids) as a tuple.
+
+    App ids repeat across hundreds of thousands of snapshots;
+    ``sys.intern`` collapses the duplicates the split allocates.
+    """
+    return tuple(_intern_str(part) for part in raw.split(",") if part) if raw else ()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -263,18 +268,28 @@ class RunningAppsRecord:
         return [f"{self.time:.3f}", ",".join(self.apps)]
 
     @classmethod
-    def from_fields(cls, fields: Sequence[str]) -> "RunningAppsRecord":
+    def from_fields(
+        cls,
+        fields: Sequence[str],
+        apps_memo: Optional[Dict[str, Tuple[str, ...]]] = None,
+    ) -> "RunningAppsRecord":
+        """``apps_memo`` (raw apps field -> decoded tuple) lets one
+        parse call decode each distinct app set once; RUNAPP is the
+        bulk of every log and the sets repeat across snapshots."""
         if len(fields) != 2:
             raise LogFormatError(f"RUNAPP expects 2 fields, got {len(fields)}")
         raw = fields[1]
-        # App ids repeat across hundreds of thousands of snapshots;
-        # sys.intern collapses the duplicates the split allocates.
-        apps = (
-            tuple(_intern_str(part) for part in raw.split(",") if part)
-            if raw
-            else ()
-        )
-        return cls(time=_parse_float(fields[0], "RUNAPP"), apps=apps)
+        if apps_memo is None:
+            apps = _decode_apps(raw)
+        else:
+            apps = apps_memo.get(raw)
+            if apps is None:
+                apps = apps_memo[raw] = _decode_apps(raw)
+        try:
+            time = float(fields[0])
+        except ValueError as exc:
+            raise _bad_float(fields[0], "RUNAPP") from exc
+        return cls(time, apps)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -298,11 +313,15 @@ class PowerRecord:
     def from_fields(cls, fields: Sequence[str]) -> "PowerRecord":
         if len(fields) != 3:
             raise LogFormatError(f"POWER expects 3 fields, got {len(fields)}")
-        return cls(
-            time=_parse_float(fields[0], "POWER"),
-            level=_parse_float(fields[1], "POWER"),
-            state=intern_wire(fields[2]),
-        )
+        try:
+            time = float(fields[0])
+        except ValueError as exc:
+            raise _bad_float(fields[0], "POWER") from exc
+        try:
+            level = float(fields[1])
+        except ValueError as exc:
+            raise _bad_float(fields[1], "POWER") from exc
+        return cls(time, level, _WIRE_STRINGS.get(fields[2], fields[2]))
 
 
 # User-reportable failure kinds (§4's value/erratic failure classes the
@@ -341,12 +360,17 @@ class UserReportRecord:
     def from_fields(cls, fields: Sequence[str]) -> "UserReportRecord":
         if len(fields) != 2:
             raise LogFormatError(f"UREPORT expects 2 fields, got {len(fields)}")
-        return cls(time=_parse_float(fields[0], "UREPORT"), kind=intern_wire(fields[1]))
+        try:
+            time = float(fields[0])
+        except ValueError as exc:
+            raise _bad_float(fields[0], "UREPORT") from exc
+        return cls(time, _WIRE_STRINGS.get(fields[1], fields[1]))
 
 
-RecordType = Type
-_REGISTRY: Dict[str, RecordType] = {
-    cls.TAG: cls
+#: Tag -> ``from_fields`` parser, built once: the one dispatch table
+#: every text decoder looks a line's tag up in.
+FROM_FIELDS: Dict[str, Callable[..., object]] = {
+    cls.TAG: cls.from_fields
     for cls in (
         EnrollRecord,
         BootRecord,
@@ -358,7 +382,11 @@ _REGISTRY: Dict[str, RecordType] = {
     )
 }
 
-RECORD_TAGS = tuple(sorted(_REGISTRY))
+RECORD_TAGS = tuple(sorted(FROM_FIELDS))
+
+
+def unknown_tag_error(tag: str) -> LogFormatError:
+    return LogFormatError(f"unknown record tag {tag!r}")
 
 
 def record_from_fields(tag: str, fields: Sequence[str]):
@@ -367,7 +395,7 @@ def record_from_fields(tag: str, fields: Sequence[str]):
     Raises:
         LogFormatError: for unknown tags or malformed fields.
     """
-    cls = _REGISTRY.get(tag)
-    if cls is None:
-        raise LogFormatError(f"unknown record tag {tag!r}")
-    return cls.from_fields(fields)
+    from_fields = FROM_FIELDS.get(tag)
+    if from_fields is None:
+        raise unknown_tag_error(tag)
+    return from_fields(fields)

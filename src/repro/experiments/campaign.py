@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.analysis.ingest import Dataset
 from repro.analysis.report import ReproductionReport, build_report
+from repro.core.gcpause import gc_suspended
 from repro.experiments.config import CampaignConfig
 from repro.observability.telemetry import Telemetry, current_telemetry
 from repro.phone.fleet import Fleet
@@ -77,28 +77,21 @@ def simulate_and_ingest(
     """
     with tel.installed():
         fleet = Fleet(config.fleet, seed=config.seed, collector=collector)
-        gc_held = hold_gc and gc.isenabled()
-        if gc_held:
-            gc.disable()
-        try:
-            with tel.span(
-                span,
-                category="campaign",
-                seed=config.seed,
-                phones=config.fleet.phone_count,
-                **span_args,
-            ):
-                with tel.span("simulate", category="stage"):
-                    fleet.run()
-                with tel.span("ingest", category="stage"):
-                    dataset = Dataset.from_collector(
-                        fleet.collector, end_time=config.fleet.duration
-                    )
-                with tel.span(stage, category="stage"):
-                    analysed = analyse(dataset)
-        finally:
-            if gc_held:
-                gc.enable()
+        with gc_suspended(hold_gc), tel.span(
+            span,
+            category="campaign",
+            seed=config.seed,
+            phones=config.fleet.phone_count,
+            **span_args,
+        ):
+            with tel.span("simulate", category="stage"):
+                fleet.run()
+            with tel.span("ingest", category="stage"):
+                dataset = Dataset.from_collector(
+                    fleet.collector, end_time=config.fleet.duration
+                )
+            with tel.span(stage, category="stage"):
+                analysed = analyse(dataset)
         snapshot: Dict[str, Any] = {}
         if tel.metrics:
             fleet.sample_metrics(tel.registry)

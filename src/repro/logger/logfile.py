@@ -18,10 +18,15 @@ stored record equal to its own text round trip.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import LogFormatError
-from repro.core.records import record_from_fields
+from repro.core.records import (
+    FROM_FIELDS,
+    RunningAppsRecord,
+    record_from_fields,
+    unknown_tag_error,
+)
 
 FIELD_SEPARATOR = "|"
 
@@ -52,15 +57,34 @@ def serialize_entry(entry: LogEntry) -> str:
     return serialize_record(entry)
 
 
+def _check_decodable(line: str) -> None:
+    """Reject a line holding bytes that did not decode as UTF-8.
+
+    :func:`repro.logger.transfer.load_lines_from_dir` keeps such bytes
+    as lone surrogates (``surrogateescape``), which no valid text
+    contains.  Callers skip ASCII lines (``str.isascii`` is O(1)).
+    """
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise LogFormatError("undecodable bytes in log line") from exc
+
+
 def parse_line(line: str):
     """Parse one log line back into its record.
 
+    The per-line reference for :func:`parse_lines`, and the decoder of
+    the raw entries in :func:`entries_to_records`.
+
     Raises:
-        LogFormatError: on empty lines, unknown tags, or bad fields.
+        LogFormatError: on empty lines, undecodable bytes, unknown
+            tags, or bad fields.
     """
     line = line.strip()
     if not line:
         raise LogFormatError("empty log line")
+    if not line.isascii():
+        _check_decodable(line)
     tag, _, rest = line.partition(FIELD_SEPARATOR)
     fields = rest.split(FIELD_SEPARATOR) if rest else []
     return record_from_fields(tag, fields)
@@ -82,17 +106,39 @@ def parse_lines(
     first malformed line raises :class:`LogFormatError`.  ``on_error``
     observes every skipped line (quarantine accounting) so tolerance
     never means silent data loss.
+
+    This is :func:`parse_line` unrolled into one loop (``repro
+    analyze`` spends most of its time here): one strip, partition and
+    split per line, then the tag's ``from_fields`` from the shared
+    table, so records and error messages are the same.  RUNAPP apps
+    fields are decoded through a memo that lives for this call only.
     """
-    for line in lines:
-        if not line.strip():
+    from_fields_of = FROM_FIELDS.get
+    runapp = FROM_FIELDS[RunningAppsRecord.TAG]
+    apps_memo: Dict[str, Tuple[str, ...]] = {}
+    for raw in lines:
+        line = raw.strip()
+        if not line:
             continue
+        tag, _, rest = line.partition(FIELD_SEPARATOR)
+        fields = rest.split(FIELD_SEPARATOR) if rest else []
+        from_fields = from_fields_of(tag)
         try:
-            yield parse_line(line)
+            if not line.isascii():
+                _check_decodable(line)
+            if from_fields is runapp:
+                record = runapp(fields, apps_memo)
+            elif from_fields is None:
+                raise unknown_tag_error(tag)
+            else:
+                record = from_fields(fields)
         except LogFormatError as exc:
             if strict:
                 raise
             if on_error is not None:
-                on_error(line, exc)
+                on_error(raw, exc)
+            continue
+        yield record
 
 
 def entries_to_records(

@@ -318,6 +318,25 @@ class CollectionServer:
         )
 
 
+def _log_file_lines(data: bytes) -> List[str]:
+    """One log file's bytes as its non-blank lines.
+
+    A valid UTF-8 file is decoded whole in one strict pass.  A file
+    with undecodable bytes (flash corruption) is decoded with
+    ``surrogateescape`` instead: only the bad bytes become lone
+    surrogates, so the parser quarantines just the lines that hold them
+    rather than the load failing.  Newlines are universal (CR LF and a
+    lone CR end a line too), as when reading the file in text mode.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        text = data.decode("utf-8", "surrogateescape")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return [line for line in text.split("\n") if line.strip()]
+
+
 def load_lines_from_dir(directory: str) -> Dict[str, List[str]]:
     """Read every ``*.log`` file in ``directory`` back into the
     phone-id -> lines mapping the analysis ingests."""
@@ -326,7 +345,6 @@ def load_lines_from_dir(directory: str) -> Dict[str, List[str]]:
         if not name.endswith(LOG_EXTENSION):
             continue
         phone_id = name[: -len(LOG_EXTENSION)]
-        path = os.path.join(directory, name)
-        with open(path, "r", encoding="utf-8") as handle:
-            out[phone_id] = [line.rstrip("\n") for line in handle if line.strip()]
+        with open(os.path.join(directory, name), "rb") as handle:
+            out[phone_id] = _log_file_lines(handle.read())
     return out

@@ -8,12 +8,12 @@ shipping its log files to the collection server.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.clock import DAY, MONTH
 from repro.core.engine import Simulator
+from repro.core.gcpause import gc_suspended
 from repro.core.rand import RandomStreams
 from repro.logger.daemon import LoggerConfig
 from repro.logger.dexc import DExcLogger, attach_dexc
@@ -190,16 +190,8 @@ class Fleet:
         if self._ran:
             raise ValueError("campaign already ran")
         self._ran = True
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_suspended():
             self.sim.run_until(self.config.duration)
-        finally:
-            if gc_was_enabled:
-                # Re-enable only; no forced collect — the next automatic
-                # pass reclaims the campaign's cycles outside the hot path.
-                gc.enable()
         self.sync_all()
         self.collector.finalize()
 

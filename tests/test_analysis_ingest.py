@@ -68,6 +68,11 @@ class TestIngestion:
         with pytest.raises(AnalysisError):
             Dataset({"p": PhoneLog("p")}, end_time=0.0)
 
+    @pytest.mark.parametrize("end_time", [float("nan"), float("inf")])
+    def test_nonfinite_end_time_rejected(self, end_time):
+        with pytest.raises(AnalysisError, match="finite"):
+            Dataset({"p": PhoneLog("p")}, end_time=end_time)
+
     def test_phone_ids_sorted(self):
         dataset = dataset_from_records(
             {"phone-02": sample_records(), "phone-01": sample_records()},

@@ -109,6 +109,57 @@ class TestCli:
         assert main(["analyze", str(tmp_path), "--end-time", "0"]) == 1
         assert "end_time must be positive" in self._one_line_error(capsys)
 
+    @pytest.mark.parametrize("end_time", ["nan", "inf"])
+    def test_analyze_nonfinite_end_time_fails(self, tmp_path, capsys, end_time):
+        (tmp_path / "phone-00.log").write_text("BOOT|1.000|NONE|0.000\n")
+        assert main(["analyze", str(tmp_path), "--end-time", end_time]) == 1
+        assert "end_time must be positive and finite" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("window", ["0", "-5", "nan", "inf"])
+    def test_analyze_invalid_window_fails(self, tmp_path, capsys, window):
+        (tmp_path / "phone-00.log").write_text("BOOT|1.000|NONE|0.000\n")
+        assert main(["analyze", str(tmp_path), "--window", window]) == 1
+        assert self._one_line_error(capsys).startswith("repro analyze: --window ")
+
+    def test_analyze_quarantines_undecodable_bytes(
+        self, tmp_path, capsys, quick_campaign
+    ):
+        """One invalid UTF-8 line is quarantined as a bad value; the
+        rest of its file and the run go on."""
+        quick_campaign.fleet.collector.export_to_dir(str(tmp_path))
+        end = quick_campaign.dataset.end_time
+        clean = Dataset.from_lines(load_lines_from_dir(str(tmp_path)), end)
+        victim = tmp_path / f"{sorted(clean.logs)[0]}.log"
+        with open(victim, "ab") as handle:
+            handle.write(b"RUNAPP|12.000|Cam\xff\xfeera\n")
+
+        lines = load_lines_from_dir(str(tmp_path))
+        dataset = Dataset.from_lines(lines, end)
+        assert dataset.logs == clean.logs
+        quarantined = dataset.ingest_report
+        assert quarantined.quarantined == clean.ingest_report.quarantined + 1
+        assert quarantined.by_class.get("bad-value", 0) == (
+            clean.ingest_report.by_class.get("bad-value", 0) + 1
+        )
+        records = sum(log.record_count for log in dataset.logs.values())
+        read = sum(len(phone) for phone in lines.values())
+        assert read == records + quarantined.quarantined
+
+        assert main(["analyze", str(tmp_path), "--end-time", repr(end)]) == 0
+        assert "Table 2" in capsys.readouterr().out
+
+    def test_load_reads_universal_newlines(self, tmp_path):
+        (tmp_path / "phone-00.log").write_bytes(
+            b"BOOT|1.000|NONE|0.000\r\nBOOT|2.000|ALIVE|1.500\r\n  \nPOWER|3.000|0.5000|low\r"
+        )
+        assert load_lines_from_dir(str(tmp_path)) == {
+            "phone-00": [
+                "BOOT|1.000|NONE|0.000",
+                "BOOT|2.000|ALIVE|1.500",
+                "POWER|3.000|0.5000|low",
+            ]
+        }
+
     def test_analyze_unparseable_logs_fail(self, tmp_path, capsys):
         (tmp_path / "phone-00.log").write_text("XYZZY|1|2\nRUNAPP|180\n")
         assert main(["analyze", str(tmp_path)]) == 1
