@@ -26,11 +26,18 @@ iterates a table: a subscribe/cancel from inside the handler mutates
 tables nobody is walking (any *outer* multi-handler publish still holds
 its own ``_delivering`` increment), and snapshot semantics hold because
 the handler was chosen before it could mutate anything.
+
+Every subscription is a reference cycle while it is live (the bus
+holds the handle, the handle holds the bus, and the handler usually
+holds its owner, which holds the handle).  Teardown breaks both ends:
+a cancelled subscription drops its handler, and :meth:`EventBus.retire`
+empties the topic tables, so a retired bus and everything subscribed to
+it are freed by reference counting alone, with no cyclic garbage.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 Handler = Callable[..., None]
 
@@ -47,21 +54,34 @@ class Subscription:
         self._active = True
 
     @property
-    def handler(self) -> Handler:
-        """The subscribed handler (introspection/debugging)."""
+    def handler(self) -> Optional[Handler]:
+        """The subscribed handler (introspection/debugging); ``None``
+        once cancelled."""
         return self._handler
 
     def cancel(self) -> None:
-        """Detach the handler.  Cancelling twice is a no-op."""
+        """Detach the handler and drop it.  Cancelling twice is a no-op.
+
+        An in-flight publish keeps delivering to it: delivery walks the
+        bus's table snapshot, never ``_handler``.
+        """
         if self._active:
             self._active = False
+            self._handler = None
             self._bus._remove(self._topic, self)
 
 
 class EventBus:
     """Topic string -> insertion-ordered subscription table."""
 
-    __slots__ = ("_topics", "_solo", "_delivering", "publishes", "deliveries")
+    __slots__ = (
+        "_topics",
+        "_solo",
+        "_delivering",
+        "publishes",
+        "deliveries",
+        "__weakref__",
+    )
 
     def __init__(self) -> None:
         # topic -> {subscription: handler}; dicts preserve insertion
@@ -140,6 +160,18 @@ class EventBus:
         """Number of handlers currently subscribed to ``topic`` (O(1))."""
         table = self._topics.get(topic)
         return len(table) if table else 0
+
+    def retire(self) -> None:
+        """Drop every subscription (the bus's power cycle ended).
+
+        Emptying the tables breaks the bus <-> subscription cycles, so
+        the bus and its subscribers' handlers are freed by refcount.
+        Later ``cancel`` calls on old handles are no-ops.
+        """
+        # Fresh tables rather than clear(): a publish still walking one
+        # keeps its snapshot.
+        self._topics = {}
+        self._solo = {}
 
     def _remove(self, topic: str, subscription: Subscription) -> None:
         table = self._topics.get(topic)

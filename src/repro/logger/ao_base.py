@@ -76,8 +76,7 @@ class SubscribingAO(CActive):
     def detach(self) -> None:
         """Stop observing (daemon shutdown or freeze)."""
         self._subscription.cancel()
-        self.cancel()
-        self.scheduler.remove(self)
+        self.retire()
 
     # -- internals -----------------------------------------------------------------
 

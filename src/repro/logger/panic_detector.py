@@ -88,8 +88,7 @@ class PanicDetector(CActive):
     def detach(self) -> None:
         """Stop observing (daemon shutdown or freeze)."""
         self._rdebug.unregister(self._on_notification)
-        self.cancel()
-        self.scheduler.remove(self)
+        self.retire()
 
     # -- internals ------------------------------------------------------------------
 

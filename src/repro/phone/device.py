@@ -4,7 +4,10 @@ A :class:`SmartPhone` owns persistent storage (the log file and beats
 file survive reboots) and, while powered, an :class:`OSRuntime` — a
 fresh Symbian substrate instance per power cycle, exactly as a real
 reboot rebuilds kernel state.  The failure-data logger daemon is
-started at every boot, as on the paper's phones.
+started at every boot, as on the paper's phones.  Every exit from ON
+(graceful shutdown, freeze, battery pull) retires the runtime, and
+stopping the logger retires its daemon; retirement breaks their
+reference cycles, so both are freed by refcount on the spot.
 
 State machine::
 
@@ -85,7 +88,12 @@ CRITICAL_MSG_PROCESS = "MsgServer"
 
 
 class OSRuntime:
-    """One power cycle's Symbian substrate instance."""
+    """One power cycle's Symbian substrate instance.
+
+    :meth:`teardown` retires it: every component breaks the reference
+    cycles it owns, so the runtime is freed by refcount the moment its
+    power cycle ends rather than lingering as cyclic garbage.
+    """
 
     def __init__(self, sim: Simulator, phone_id: str) -> None:
         self.bus = EventBus()
@@ -108,7 +116,12 @@ class OSRuntime:
         self.phone_id = phone_id
 
     def teardown(self) -> None:
+        """Power-off: stop RDebug, kill AppArch, drop the process table
+        and retire the bus.  The logger daemon detaches first."""
         self.rdebug.detach()
+        self.apparch.terminate()
+        self.kernel.shutdown()
+        self.bus.retire()
 
 
 Listener = Callable[..., None]
@@ -212,7 +225,6 @@ class SmartPhone:
         offline parser skips it).
         """
         self._require_state(STATE_ON, "freeze")
-        now = self.sim.now
         if self.daemon is not None:
             self.daemon.halt()
             self.daemon = None
@@ -223,7 +235,6 @@ class SmartPhone:
         self._retire_os()
         self._app_procs.clear()
         self._activity = None
-        del now
         for listener in list(self.freeze_listeners):
             listener()
 

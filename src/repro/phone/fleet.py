@@ -182,8 +182,10 @@ class Fleet:
         the event loop: a paper-scale run allocates millions of
         records, heap entries, and short-lived processes, and repeated
         generation-2 passes over that growing object graph cost ~10% of
-        wall time while freeing almost nothing mid-run.  Collection
-        resumes afterwards and reclaims the campaign's cycles then.
+        wall time while freeing almost nothing mid-run.  Nothing waits
+        for collection to resume: each power cycle's runtime is freed
+        by refcount when it retires, so the run leaves no cyclic
+        garbage behind.
         """
         if not self._built:
             self.build()

@@ -169,6 +169,16 @@ class CActive:
             if self._in_ready:
                 self.scheduler._unmark_ready(self)
 
+    def retire(self) -> None:
+        """Cancel and leave the scheduler for good (``Deque`` semantics).
+
+        Also unlinks the request status from its owner, the last cycle
+        an AO holds, so a retired AO is freed by refcount.
+        """
+        self.cancel()
+        self.scheduler.remove(self)
+        self.i_status._owner = None
+
     def run_l(self) -> None:
         """Handle a completed request.  May leave."""
         raise NotImplementedError
@@ -205,6 +215,7 @@ class CActiveScheduler:
         "_dispatch_series",
         "_run_hist",
         "__dict__",
+        "__weakref__",
     )
 
     def __init__(self, name: str = "sched") -> None:

@@ -143,10 +143,15 @@ class Server:
         return True
 
     def terminate(self) -> None:
-        """Kill the server; queued and future requests fail."""
+        """Kill the server; queued and future requests fail.
+
+        The handler table goes too: handlers are usually the server's
+        own bound methods, a cycle that would outlive the server.
+        """
         self.alive = False
         while self._queue:
             self._queue.popleft().complete(KERR_SERVER_TERMINATED)
+        self._handlers = {}
 
     @property
     def queue_length(self) -> int:

@@ -224,6 +224,14 @@ class KernelExecutive:
                 thread.alive = False
         self._processes.pop(process.name, None)
 
+    def shutdown(self) -> None:
+        """Drop the process table (the phone powered off).
+
+        Each registered process points back at its kernel; dropping the
+        table breaks that cycle so the kernel is freed by refcount.
+        """
+        self._processes = {}
+
     # -- execution / fault translation ------------------------------------
 
     def execute(self, process: Process, fn: Callable[..., object], *args):

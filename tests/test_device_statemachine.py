@@ -9,8 +9,12 @@ study rests on:
 * the beats file always reflects the last cycle faithfully (ALIVE after
   a freeze/pull, REBOOT after graceful shutdowns, ...);
 * boot records reconstruct the power-cycle history exactly;
-* the logger's record stream timestamps are monotone.
+* the logger's record stream timestamps are monotone;
+* a retired runtime is freed by refcount (cyclic GC is off throughout).
 """
+
+import gc
+import weakref
 
 from hypothesis import settings
 from hypothesis.stateful import (
@@ -50,6 +54,17 @@ class DeviceLifecycle(RuleBasedStateMachine):
         #: Expected beat kinds at next boot, per our own book-keeping.
         self.expected_beat = BEAT_NONE
         self.cycle_count = 0
+        self.restarts = 0
+        #: Weakrefs to the last runtime and its cycle-prone parts.
+        self.last_runtime = ()
+        # Without cyclic GC, a runtime that is not freed by refcount
+        # stays alive, which retired_runtime_released catches.
+        self._gc_was_enabled = gc.isenabled()
+        gc.disable()
+
+    def teardown(self):
+        if self._gc_was_enabled:
+            gc.enable()
 
     # -- operations ------------------------------------------------------------
 
@@ -62,6 +77,10 @@ class DeviceLifecycle(RuleBasedStateMachine):
         self._advance(gap)
         self.phone.boot()
         self.cycle_count += 1
+        runtime = self.phone.os
+        self.last_runtime = tuple(
+            weakref.ref(part) for part in (runtime, runtime.kernel, runtime.bus)
+        )
 
     @precondition(lambda self: self.phone.state == STATE_ON)
     @rule(
@@ -112,6 +131,7 @@ class DeviceLifecycle(RuleBasedStateMachine):
         self.phone.stop_logger()
         self._advance(off_for)
         self.phone.restart_logger()
+        self.restarts += 1
         # Beats now show MAOFF then ALIVE again; a pull right now would
         # read ALIVE (logger restarted).  Track via beats file directly.
         del off_for
@@ -137,9 +157,14 @@ class DeviceLifecycle(RuleBasedStateMachine):
             r for r in self.phone.storage.records() if isinstance(r, BootRecord)
         ]
         # One boot record per boot, plus one per logger restart.
-        assert len(boots) >= self.cycle_count * 0 + min(self.cycle_count, 1)
+        assert len(boots) == self.cycle_count + self.restarts
         if boots:
             assert boots[0].last_beat_kind == BEAT_NONE
+
+    @invariant()
+    def retired_runtime_released(self):
+        if self.phone.state in (STATE_OFF, STATE_FROZEN):
+            assert [ref() for ref in self.last_runtime if ref() is not None] == []
 
     @invariant()
     def record_times_monotone(self):
