@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.analysis.coalescence import HL_FREEZE, HL_SELF_SHUTDOWN, HlEvent
 from repro.analysis.ingest import Dataset
 from repro.analysis.shutdowns import ShutdownStudy
@@ -108,6 +106,11 @@ def fit_reliability(
     intervals_hours: Sequence[float], kind: str = "failure"
 ) -> ReliabilityStats:
     """Fit exponential and Weibull models to the interval sample."""
+    # scipy (and numpy under it) is imported here, not at module scope:
+    # it is ~80 MB and ~85% of `import repro`, and only the extended
+    # analyses reach it.  tests/test_import_budget.py holds the line.
+    from scipy import stats as scipy_stats
+
     intervals = [iv for iv in intervals_hours if iv > 0]
     if len(intervals) < 8:
         return ReliabilityStats(kind, intervals, None, None)

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from scipy import stats as scipy_stats
-
 from repro.analysis.ingest import Dataset
 from repro.analysis.shutdowns import ShutdownStudy
 
@@ -141,6 +139,10 @@ def _homogeneity_test(phones: List[PhoneRate]):
         if expected > 0:
             chi_square += (phone.failures - expected) ** 2 / expected
     dof = len(exposed) - 1
+    # Imported here so that `import repro` never loads scipy; see
+    # fit_reliability.
+    from scipy import stats as scipy_stats
+
     p_value = float(scipy_stats.chi2.sf(chi_square, dof))
     return chi_square, dof, p_value
 

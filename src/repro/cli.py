@@ -37,8 +37,9 @@ Nine subcommands cover the whole study:
   rolling MTBF/panic-mix/quarantine KPIs, per-worker throughput, ETA,
   and a Prometheus text snapshot (``metrics.prom``) on every fold.
 
-An invalid configuration (``--phones 0``, ``--window -5``, ...) exits 1
-with a one-line ``repro <command>: <message>`` on stderr.
+An invalid configuration or argument (``--phones 0``, ``--months nan``,
+``--seeds 5,x``, ``--shards 0``, ...) exits 1 with a one-line
+``repro <command>: <message>`` on stderr.
 
 Usage::
 
@@ -461,16 +462,16 @@ def _parse_seeds(text: str) -> List[int]:
     try:
         seeds = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise SystemExit(f"invalid --seeds value: {text!r}")
+        raise ConfigError(f"invalid --seeds value: {text!r}") from None
     if not seeds:
-        raise SystemExit("at least one seed is required")
+        raise ConfigError("at least one seed is required")
     return seeds
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     configs = [
         CampaignConfig(
             fleet=FleetConfig(
@@ -484,7 +485,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         cache = CampaignCache(args.cache) if args.cache else None
     except OSError as exc:
-        raise SystemExit(f"cannot use cache directory {args.cache!r}: {exc}")
+        raise ConfigError(
+            f"cannot use cache directory {args.cache!r}: {exc}"
+        ) from None
     on_complete = None
     if args.live:
         from time import perf_counter
@@ -569,7 +572,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             counters=args.counters,
         )
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        raise ConfigError(str(exc)) from None
     if args.as_json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
@@ -645,9 +648,9 @@ def _parse_intensities(text: str) -> List[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise SystemExit(f"invalid --intensities value: {text!r}")
+        raise ConfigError(f"invalid --intensities value: {text!r}") from None
     if not values or any(value <= 0 for value in values):
-        raise SystemExit("intensities must be positive numbers")
+        raise ConfigError("intensities must be positive numbers")
     return values
 
 
@@ -692,8 +695,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _json_finite(value: float) -> object:
     """Strict-JSON representation of one figure (inf/nan -> string)."""
-    import math
-
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     return value
@@ -708,7 +709,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
     from repro.experiments.summary import CampaignSummary, headline_figures
 
     if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = CampaignConfig(
         fleet=FleetConfig(
             phone_count=args.phones, duration=args.months * MONTH
@@ -720,13 +721,15 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         try:
             os.makedirs(args.cache, exist_ok=True)
         except OSError as exc:
-            raise SystemExit(
+            raise ConfigError(
                 f"cannot use cache directory {args.cache!r}: {exc}"
-            )
+            ) from None
     weights = None
     if args.skew is not None:
-        if args.skew <= 0:
-            raise SystemExit(f"--skew must be > 0, got {args.skew:g}")
+        if not (math.isfinite(args.skew) and args.skew > 0):
+            raise ConfigError(
+                f"--skew must be positive and finite, got {args.skew:g}"
+            )
         weights = [args.skew] + [1.0] * (args.shards - 1)
     progress = None
     if args.live:
@@ -749,7 +752,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         )
         wall = perf_counter() - start
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        raise ConfigError(str(exc)) from None
     summary = result.summary
 
     report = {
@@ -846,8 +849,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.run_dir):
         print(f"no such run directory: {args.run_dir}", file=sys.stderr)
         return 1
-    if args.interval <= 0:
-        raise SystemExit(f"--interval must be > 0, got {args.interval:g}")
+    if not (math.isfinite(args.interval) and args.interval > 0):
+        raise ConfigError(
+            f"--interval must be a positive number of seconds, "
+            f"got {args.interval:g}"
+        )
     folder = LiveFolder(args.run_dir, window=args.window)
     frames = 1 if args.once else args.frames
     shown = 0

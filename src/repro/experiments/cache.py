@@ -152,7 +152,9 @@ class CampaignCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
+                # dumps, not dump: json.dump always takes the pure-Python
+                # iterencode path; dumps uses the C encoder (~4x faster).
+                handle.write(json.dumps(entry))
             os.replace(tmp_path, path)
         except BaseException:
             try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from repro.core.clock import MONTH
@@ -35,10 +36,11 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.fleet.phone_count <= 0:
             raise ConfigError("campaign needs at least one phone")
-        if self.fleet.duration <= 0:
-            raise ConfigError("campaign duration must be positive")
-        if self.coalescence_window <= 0:
-            raise ConfigError("coalescence window must be positive")
+        if not (math.isfinite(self.fleet.duration) and self.fleet.duration > 0):
+            raise ConfigError("campaign duration must be positive and finite")
+        window = self.coalescence_window
+        if not (math.isfinite(window) and window > 0):
+            raise ConfigError("coalescence window must be positive and finite")
         if self.fleet.phone_range is not None:
             try:
                 self.fleet.resolved_range()

@@ -186,13 +186,45 @@ class TestCli:
             ["perf", "--phones", "0"],
             ["forum", "--reports", "0"],
             ["forum", "--noise", "3"],
+            ["campaign", "--months", "nan"],
+            ["campaign", "--months", "inf"],
+            ["sweep", "--months", "nan"],
+            ["sweep", "--window", "nan"],
+            ["sweep", "--window", "inf"],
+            ["megafleet", "--months", "nan"],
+            ["megafleet", "--months", "inf"],
+            ["megafleet", "--window", "nan"],
+            ["trace", "OUT", "--months", "nan"],
+            ["trace", "OUT", "--months", "inf"],
+            ["sweep", "--seeds", ","],
+            ["sweep", "--workers", "0"],
+            ["sweep", "--cache", "FILE"],
+            ["perf", "--repeats", "0"],
+            ["faults", "--intensities", "0"],
+            ["megafleet", "--workers", "0"],
+            ["megafleet", "--cache", "FILE"],
+            ["megafleet", "--skew", "0"],
+            ["megafleet", "--skew", "nan"],
+            ["megafleet", "--shards", "0"],
+            ["megafleet", "--retries", "-1"],
+            ["megafleet", "--shards", "5", "--phones", "3"],
+            ["monitor", "DIR", "--interval", "0"],
+            ["monitor", "DIR", "--interval", "nan"],
+            ["monitor", "DIR", "--interval", "inf"],
         ],
         ids=lambda argv: " ".join(argv),
     )
     def test_config_errors_exit_1_with_one_line(self, argv, tmp_path, capsys):
         """An invalid configuration is a one-line message, not a
-        traceback — and never silently accepted."""
-        argv = [str(tmp_path / arg) if arg == "OUT" else arg for arg in argv]
+        traceback — and never silently accepted.  ``FILE`` is a regular
+        file, so no directory can be made under it."""
+        (tmp_path / "file").write_text("")
+        paths = {
+            "OUT": str(tmp_path / "OUT"),
+            "DIR": str(tmp_path),
+            "FILE": str(tmp_path / "file" / "run"),
+        }
+        argv = [paths.get(arg, arg) for arg in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"repro {argv[0]}: ")
@@ -300,8 +332,10 @@ class TestSweepCommand:
         assert "2 hits, 0 misses" in second
 
     def test_sweep_rejects_bad_seeds(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--seeds", "5,banana"])
+        assert main(["sweep", "--seeds", "5,banana"]) == 1
+        assert capsys.readouterr().err == (
+            "repro sweep: invalid --seeds value: '5,banana'\n"
+        )
 
     def test_faults_gate_passes_on_mild_plan(self, tmp_path, capsys):
         import json
@@ -365,11 +399,15 @@ class TestSweepCommand:
         assert code == 0
         json.loads(out)  # whole stdout is one strict-JSON document
 
-    def test_faults_rejects_bad_intensities(self):
-        with pytest.raises(SystemExit):
-            main(["faults", "--intensities", "fast"])
-        with pytest.raises(SystemExit):
-            main(["faults", "--intensities", "-1"])
+    def test_faults_rejects_bad_intensities(self, capsys):
+        assert main(["faults", "--intensities", "fast"]) == 1
+        assert capsys.readouterr().err == (
+            "repro faults: invalid --intensities value: 'fast'\n"
+        )
+        assert main(["faults", "--intensities", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "repro faults: intensities must be positive numbers\n"
+        )
 
 
 class TestExtendedReport:

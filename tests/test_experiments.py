@@ -33,6 +33,16 @@ class TestCampaignConfig:
         with pytest.raises(ConfigError):
             CampaignConfig(coalescence_window=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_duration(self, value):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            CampaignConfig(fleet=FleetConfig(duration=value))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_window(self, value):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            CampaignConfig(coalescence_window=value)
+
 
 class TestComparison:
     def test_ratio(self):

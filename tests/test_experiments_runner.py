@@ -21,6 +21,7 @@ from repro.experiments.runner import (
     run_campaigns_resilient,
     summarize_campaign,
 )
+from repro.experiments.shard import ShardTask, plan_shards
 from repro.experiments.summary import (
     SECTION_KEYS,
     SUMMARY_FORMAT_VERSION,
@@ -305,6 +306,21 @@ class TestCache:
         loaded = cache.get(config)
         assert loaded is not None
         assert loaded.to_dict() == summary.to_dict()
+
+    def test_put_commits_the_json_dumps_text(self, tmp_path):
+        """A commit is one ``json.dumps`` of the entry (the C encoder),
+        byte for byte; shard results are committed through ``put`` too."""
+        cache = CampaignCache(str(tmp_path))
+        config = plan_shards(tiny_config(7), 3)[0]
+        result = ShardTask()(config)
+        path = cache.put(config, result)
+        entry = {
+            "key": campaign_cache_key(config),
+            "format_version": SUMMARY_FORMAT_VERSION,
+            "summary": result.to_dict(),
+        }
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == json.dumps(entry)
 
     def test_key_depends_on_seed_and_config(self):
         base = campaign_cache_key(tiny_config(7))
