@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.errors import AnalysisError
 from repro.core.records import (
@@ -188,6 +188,33 @@ class PhoneLog:
         return observation_hours(self.start_time, end_time)
 
 
+class _ParsedPhones(Mapping[str, Iterator]):
+    """phone_id -> lazy record stream over a phone_id -> lines mapping.
+
+    A lookup fetches that phone's lines only then, so
+    :meth:`Dataset.from_records` holds one phone's lines at a time.
+    """
+
+    def __init__(
+        self, lines_by_phone: Mapping[str, Iterable[str]], report: IngestReport
+    ) -> None:
+        self._lines_by_phone = lines_by_phone
+        self._report = report
+
+    def __getitem__(self, phone_id: str) -> Iterator:
+        quarantine = self._report.quarantine
+        return parse_lines(
+            self._lines_by_phone[phone_id],
+            on_error=lambda line, exc: quarantine(phone_id, line, exc),
+        )
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._lines_by_phone)
+
+    def __len__(self) -> int:
+        return len(self._lines_by_phone)
+
+
 class Dataset:
     """All phones' parsed logs plus the campaign observation window."""
 
@@ -223,17 +250,15 @@ class Dataset:
         anywhere (a lower bound on the campaign end).  Lines the
         tolerant parser rejects are quarantined into the dataset's
         :class:`IngestReport`, never silently dropped.
+
+        Phones are parsed in sorted order and each is looked up in
+        ``lines_by_phone`` once, when its turn comes, and dropped after
+        parsing.  Over :func:`repro.logger.transfer.load_lines_from_dir`
+        that holds one phone's text at a time, not the whole export.
         """
         report = IngestReport()
-
-        def hook(phone_id: str):
-            return lambda line, exc: report.quarantine(phone_id, line, exc)
-
         return cls.from_records(
-            {
-                phone_id: parse_lines(lines, on_error=hook(phone_id))
-                for phone_id, lines in lines_by_phone.items()
-            },
+            _ParsedPhones(lines_by_phone, report),
             end_time=end_time,
             ingest_report=report,
         )

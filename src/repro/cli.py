@@ -66,6 +66,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -405,7 +406,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     fleet = FleetConfig(phone_count=args.phones, duration=args.months * MONTH)
-    result = run_campaign(CampaignConfig(fleet=fleet, seed=args.seed))
+    config = CampaignConfig(fleet=fleet, seed=args.seed)
+    if args.export:
+        try:
+            os.makedirs(args.export, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot use export directory {args.export!r}: "
+                f"{exc.strerror or exc}"
+            ) from None
+    result = run_campaign(config)
     if args.headline_only:
         print(result.report.render_headline())
     elif args.extended:
@@ -423,28 +433,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--window must be a positive number of seconds, got {args.window}"
         )
-    # Loading, parsing and reporting allocate a few long-lived, acyclic
-    # objects per log line, and cyclic GC passes over them free nothing.
-    # The hold ends after _analyze_dir has dropped them, so re-enabling
-    # does not start a pass over the whole dataset either.
+    # Parsing and reporting allocate a few long-lived, acyclic objects
+    # per log line, and cyclic GC passes over them free nothing.  The
+    # text is not among them: each phone's log is read, parsed and
+    # freed by refcount before the next is read.  The hold ends after
+    # _analyze_dir has dropped the records, so re-enabling does not
+    # start a pass over the whole dataset either.
     with gc_suspended():
         return _analyze_dir(args)
 
 
 def _analyze_dir(args: argparse.Namespace) -> int:
+    # Files are read as Dataset.from_lines parses them, so a log that
+    # cannot be read fails there, not at load_lines_from_dir.
     try:
         lines = load_lines_from_dir(args.directory)
+        if not lines:
+            print(f"no .log files found in {args.directory}", file=sys.stderr)
+            return 1
+        dataset = Dataset.from_lines(lines, end_time=args.end_time)
     except OSError as exc:
         print(
             f"cannot read {args.directory}: {exc.strerror or exc}",
             file=sys.stderr,
         )
         return 1
-    if not lines:
-        print(f"no .log files found in {args.directory}", file=sys.stderr)
-        return 1
-    try:
-        dataset = Dataset.from_lines(lines, end_time=args.end_time)
     except AnalysisError as exc:
         print(f"cannot analyse {args.directory}: {exc}", file=sys.stderr)
         return 1
@@ -701,7 +714,6 @@ def _json_finite(value: float) -> object:
 
 
 def _cmd_megafleet(args: argparse.Namespace) -> int:
-    import os
     import resource
     from time import perf_counter
 
@@ -836,7 +848,6 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    import os
     from time import sleep
 
     from repro.observability.live import (

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.errors import ReproError
 from repro.observability.telemetry import current_telemetry
@@ -337,14 +337,45 @@ def _log_file_lines(data: bytes) -> List[str]:
     return [line for line in text.split("\n") if line.strip()]
 
 
-def load_lines_from_dir(directory: str) -> Dict[str, List[str]]:
-    """Read every ``*.log`` file in ``directory`` back into the
-    phone-id -> lines mapping the analysis ingests."""
-    out: Dict[str, List[str]] = {}
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(LOG_EXTENSION):
-            continue
-        phone_id = name[: -len(LOG_EXTENSION)]
-        with open(os.path.join(directory, name), "rb") as handle:
-            out[phone_id] = _log_file_lines(handle.read())
-    return out
+class _LogDirectory(Mapping[str, List[str]]):
+    """The ``*.log`` files of one directory as phone_id -> lines.
+
+    The directory is listed once, at construction.  Each lookup reads
+    and decodes that phone's file again; nothing is cached, so a caller
+    that visits phones one at a time holds one file's text at a time.
+    """
+
+    def __init__(self, directory: str) -> None:
+        self._paths = {
+            name[: -len(LOG_EXTENSION)]: os.path.join(directory, name)
+            for name in sorted(os.listdir(directory))
+            if name.endswith(LOG_EXTENSION)
+        }
+
+    def __getitem__(self, phone_id: str) -> List[str]:
+        with open(self._paths[phone_id], "rb") as handle:
+            return _log_file_lines(handle.read())
+
+    def __contains__(self, phone_id: object) -> bool:
+        return phone_id in self._paths
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
+def load_lines_from_dir(directory: str) -> Mapping[str, List[str]]:
+    """The phone-id -> lines mapping the analysis ingests, read from the
+    ``*.log`` files in ``directory``.
+
+    Phones iterate in sorted order.  The directory is listed here (an
+    unreadable directory raises :class:`OSError` now), but a file is
+    read only when its phone is looked up, and again on every lookup:
+    :meth:`repro.analysis.ingest.Dataset.from_lines` thus reads, parses
+    and drops one phone's log before reading the next.  ``len`` and
+    ``in`` read no file.  Call ``dict(...)`` for every phone's lines at
+    once.
+    """
+    return _LogDirectory(directory)

@@ -44,6 +44,51 @@ class TestDiskRoundTrip:
         assert list(lines) == ["phone-00"]
 
 
+class TestLogDirectory:
+    """`load_lines_from_dir` is a read-on-access mapping."""
+
+    LINE = "BOOT|1.000|NONE|0.000"
+
+    @pytest.fixture
+    def logs(self, tmp_path):
+        for phone_id in ("phone-02", "phone-00", "phone-01"):
+            (tmp_path / f"{phone_id}.log").write_text(self.LINE + "\n")
+        (tmp_path / "notes.txt").write_text("irrelevant")
+        return tmp_path
+
+    def test_phones_in_sorted_order(self, logs):
+        assert list(load_lines_from_dir(str(logs))) == [
+            "phone-00",
+            "phone-01",
+            "phone-02",
+        ]
+
+    def test_len_and_in_read_no_file(self, logs):
+        lines = load_lines_from_dir(str(logs))
+        for path in logs.glob("*.log"):
+            path.unlink()
+        assert len(lines) == 3
+        assert "phone-01" in lines
+        assert "phone-09" not in lines
+        assert "notes" not in lines
+        with pytest.raises(FileNotFoundError):
+            lines["phone-01"]
+
+    @pytest.mark.parametrize("phone_id", ["phone-09", "notes", "notes.txt"])
+    def test_unknown_phone_is_key_error(self, logs, phone_id):
+        with pytest.raises(KeyError):
+            load_lines_from_dir(str(logs))[phone_id]
+
+    def test_repeat_lookup_reads_the_file_again(self, logs):
+        lines = load_lines_from_dir(str(logs))
+        first = lines["phone-00"]
+        assert first == [self.LINE]
+        (logs / "phone-00.log").write_text("BOOT|2.000|ALIVE|1.500\n")
+        second = lines["phone-00"]
+        assert second == ["BOOT|2.000|ALIVE|1.500"]
+        assert first == [self.LINE]
+
+
 class TestCli:
     def test_campaign_headline(self, capsys):
         code = main(
@@ -103,6 +148,16 @@ class TestCli:
         missing = str(tmp_path / "no-such-dir")
         assert main(["analyze", missing]) == 1
         assert "No such file or directory" in self._one_line_error(capsys)
+
+    def test_analyze_unreadable_log_fails(self, tmp_path, capsys):
+        """A `.log` entry that cannot be read is found only while
+        parsing, and is still one line and exit 1."""
+        (tmp_path / "phone-00.log").write_text("BOOT|1.000|NONE|0.000\n")
+        (tmp_path / "phone-99.log").mkdir()
+        assert main(["analyze", str(tmp_path)]) == 1
+        assert self._one_line_error(capsys) == (
+            f"cannot read {tmp_path}: Is a directory\n"
+        )
 
     def test_analyze_nonpositive_end_time_fails(self, tmp_path, capsys):
         (tmp_path / "phone-00.log").write_text("BOOT|1.000|NONE|0.000\n")
@@ -186,6 +241,8 @@ class TestCli:
             ["perf", "--phones", "0"],
             ["forum", "--reports", "0"],
             ["forum", "--noise", "3"],
+            ["campaign", "--phones", "2", "--months", "1", "--export", "REGULAR"],
+            ["campaign", "--phones", "2", "--months", "1", "--export", "FILE"],
             ["campaign", "--months", "nan"],
             ["campaign", "--months", "inf"],
             ["sweep", "--months", "nan"],
@@ -216,12 +273,14 @@ class TestCli:
     )
     def test_config_errors_exit_1_with_one_line(self, argv, tmp_path, capsys):
         """An invalid configuration is a one-line message, not a
-        traceback — and never silently accepted.  ``FILE`` is a regular
-        file, so no directory can be made under it."""
+        traceback — and never silently accepted.  ``REGULAR`` is a
+        regular file and ``FILE`` lies under it, so neither can be made
+        a directory."""
         (tmp_path / "file").write_text("")
         paths = {
             "OUT": str(tmp_path / "OUT"),
             "DIR": str(tmp_path),
+            "REGULAR": str(tmp_path / "file"),
             "FILE": str(tmp_path / "file" / "run"),
         }
         argv = [paths.get(arg, arg) for arg in argv]
