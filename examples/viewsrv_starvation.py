@@ -4,9 +4,10 @@
 The paper's Table 2 explains ViewSrv 11 as "one active object's event
 handler monopolizes the thread's active scheduler loop and the
 application's ViewSrv active object cannot respond in time".  This
-example builds the scenario bottom-up on the substrate's *thread*
-scheduler (§2's preemptive priority level) and the View Server
-watchdog::
+example drives the View Server watchdog (``repro.symbian.servers.
+viewsrv``) the way the fault model's ViewSrv 11 defect does: the app
+reports how long its current event handler has been running, and the
+server's periodic ping panics the app once that exceeds the deadline::
 
     python examples/viewsrv_starvation.py
 """
@@ -15,9 +16,10 @@ from repro.core.engine import Simulator
 from repro.symbian.errors import PanicRaised
 from repro.symbian.kernel import KernelExecutive
 from repro.symbian.servers.viewsrv import ViewServer
-from repro.symbian.threads import ThreadScheduler, cpu, sleep
 
 PING_INTERVAL = 2.0
+#: Idle time between two events of the app's event loop (seconds).
+IDLE_GAP = 0.5
 
 
 def scenario(handler_burst: float) -> str:
@@ -25,42 +27,37 @@ def scenario(handler_burst: float) -> str:
     sim = Simulator()
     kernel = KernelExecutive(time_fn=lambda: sim.now)
     viewsrv = ViewServer(kernel, deadline=10.0)
-    scheduler = ThreadScheduler(sim)
     process = kernel.create_process("BusyApp")
     viewsrv.register(process)
 
-    def app_workload():
-        # The app's event loop: handle an event (CPU burst), then wait
-        # for the next one.  A well-behaved handler returns quickly; a
-        # monopolizing one computes for a very long time.
-        while True:
-            yield cpu(handler_burst)
-            yield sleep(0.5)
-
-    app_thread = scheduler.spawn("BusyApp::main", 0, app_workload())
-
-    # The View Server pings every couple of seconds.  The app is "stuck"
-    # if its current handler has been running since before the deadline.
-    handler_started = {"at": 0.0}
+    # The app's event loop: handle an event (a CPU burst that holds the
+    # active scheduler), then wait for the next one.  ``started`` is the
+    # start of the running handler, ``None`` while the loop is idle and
+    # the ViewSrv active object can answer.
+    handler = {"started": None}
     outcome = {"result": "responsive"}
 
-    def ping():
-        if not process.alive:
-            return
-        # How long has the current handler burst been running?
-        busy = sim.now - handler_started["at"] if app_thread.cpu_time > 0 else 0.0
-        if app_thread.state in ("running", "ready"):
-            viewsrv.report_handler_duration(process, busy)
-        else:
-            viewsrv.report_handler_duration(process, 0.0)
-            handler_started["at"] = sim.now
+    def handle_event() -> None:
+        if process.alive:
+            handler["started"] = sim.now
+            sim.schedule_after(handler_burst, handler_returned)
+
+    def handler_returned() -> None:
+        handler["started"] = None
+        sim.schedule_after(IDLE_GAP, handle_event)
+
+    def ping() -> None:
+        started = handler["started"]
+        busy = 0.0 if started is None else sim.now - started
+        viewsrv.report_handler_duration(process, busy)
         try:
             viewsrv.ping(process)
         except PanicRaised as raised:
-            outcome["result"] = f"panicked with {raised.panic_id}"
+            outcome["result"] = f"panicked with {raised.panic_id} at t={sim.now:.0f}s"
             return
         sim.schedule_after(PING_INTERVAL, ping)
 
+    sim.schedule_after(0.0, handle_event)
     sim.schedule_after(PING_INTERVAL, ping)
     sim.run_until(60.0)
     return outcome["result"]

@@ -404,6 +404,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output file the command could not write, before any
+    simulation runs: the path must not be a directory, and its parent
+    must be an existing, writable directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = (
+            f"{parent} is not a directory"
+            if os.path.exists(parent)
+            else f"no such directory {parent}"
+        )
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        problem = f"directory {parent} is not writable"
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {problem}")
+
+
+def _write_json(path: str, payload: object) -> None:
+    """Write ``payload`` as indented, key-sorted JSON and say so."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}")
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     fleet = FleetConfig(phone_count=args.phones, duration=args.months * MONTH)
     config = CampaignConfig(fleet=fleet, seed=args.seed)
@@ -576,6 +604,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         ),
         seed=args.seed,
     )
+    if args.output:
+        _check_writable(args.output)
     try:
         result = measure_campaign(
             config,
@@ -591,10 +621,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     else:
         print(result.render())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
+        _write_json(args.output, result.to_dict())
     if args.check_against:
         try:
             baseline = load_baseline(args.check_against)
@@ -637,6 +664,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         ),
         seed=args.seed,
     )
+    _check_writable(args.output)
     tel = Telemetry(TELEMETRY_TRACE)
     run_campaign(config, telemetry=tel)
     trace = chrome_trace(tel.tracer, tel.registry)
@@ -664,7 +692,28 @@ def _parse_intensities(text: str) -> List[float]:
         raise ConfigError(f"invalid --intensities value: {text!r}") from None
     if not values or any(value <= 0 for value in values):
         raise ConfigError("intensities must be positive numbers")
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"intensities must be finite, got {value:g}")
     return values
+
+
+def _check_drift_gate(args: argparse.Namespace, intensities: List[float]) -> None:
+    """Refuse a ``--max-drift`` gate that would inspect nothing."""
+    if not (math.isfinite(args.max_drift) and args.max_drift >= 0):
+        raise ConfigError(
+            f"--max-drift must be a non-negative finite percentage, "
+            f"got {args.max_drift:g}"
+        )
+    if not math.isfinite(args.gate_intensity):
+        raise ConfigError(
+            f"--gate-intensity must be finite, got {args.gate_intensity:g}"
+        )
+    if args.gate_intensity < min(intensities):
+        raise ConfigError(
+            f"--gate-intensity {args.gate_intensity:g} is below every "
+            f"requested intensity, so the gate would inspect no point"
+        )
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -677,6 +726,10 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     preset = FaultPlan.mild if args.preset == "mild" else FaultPlan.harsh
     base_plan = preset(seed=args.plan_seed)
     intensities = _parse_intensities(args.intensities)
+    if args.max_drift is not None:
+        _check_drift_gate(args, intensities)
+    if args.output:
+        _check_writable(args.output)
     report = run_degradation_experiment(
         config,
         base_plan=base_plan,
@@ -689,10 +742,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     else:
         print(report.render())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
+        _write_json(args.output, report.to_dict())
     if args.max_drift is not None:
         worst = report.worst_drift_at(args.gate_intensity)
         gate = (
@@ -729,6 +779,8 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         coalescence_window=args.window,
     )
+    if args.output:
+        _check_writable(args.output)
     if args.cache:
         try:
             os.makedirs(args.cache, exist_ok=True)
@@ -832,10 +884,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
             )
         print("\n".join(lines))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
+        _write_json(args.output, report)
     if verified is not None:
         if not verified:
             print(

@@ -14,7 +14,6 @@ from repro.core.clock import (
     SECOND,
     WEEK,
     SimClock,
-    format_duration,
     format_instant,
 )
 from repro.core.engine import ScheduledEvent, Simulator
@@ -46,7 +45,6 @@ __all__ = [
     "WEEK",
     "MONTH",
     "SimClock",
-    "format_duration",
     "format_instant",
     "Simulator",
     "ScheduledEvent",

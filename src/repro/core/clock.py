@@ -63,27 +63,6 @@ class SimClock:
         return f"SimClock(now={format_instant(self._now)})"
 
 
-def format_duration(seconds: float) -> str:
-    """Render a duration compactly, e.g. ``'2d 03:15:00'`` or ``'45.0s'``.
-
-    >>> format_duration(45)
-    '45.0s'
-    >>> format_duration(2 * DAY + 3 * HOUR + 15 * MINUTE)
-    '2d 03:15:00'
-    """
-    if seconds < 0:
-        return "-" + format_duration(-seconds)
-    if seconds < MINUTE:
-        return f"{seconds:.1f}s"
-    total = int(seconds)
-    days, rem = divmod(total, int(DAY))
-    hours, rem = divmod(rem, int(HOUR))
-    minutes, secs = divmod(rem, int(MINUTE))
-    if days:
-        return f"{days}d {hours:02d}:{minutes:02d}:{secs:02d}"
-    return f"{hours:02d}:{minutes:02d}:{secs:02d}"
-
-
 def format_instant(t: float) -> str:
     """Render an instant as ``'day D HH:MM:SS'`` relative to the epoch.
 

@@ -43,7 +43,6 @@ from repro.experiments.shard import (
     ShardTask,
     load_shard_file,
     merge_shard_files,
-    merge_shards,
     plan_shards,
     run_sharded_campaign,
     scan_committed_shards,
@@ -81,7 +80,6 @@ __all__ = [
     "ShardTask",
     "load_shard_file",
     "merge_shard_files",
-    "merge_shards",
     "plan_shards",
     "run_sharded_campaign",
     "scan_committed_shards",

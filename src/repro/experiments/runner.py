@@ -47,7 +47,6 @@ from repro.experiments.executors import (
     resolve_executor,
 )
 from repro.experiments.summary import CampaignSummary
-from repro.observability.metrics import MetricsRegistry, merge_registries
 from repro.observability.telemetry import TELEMETRY_METRICS, Telemetry
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "CampaignFailure",
     "SweepManifest",
     "TelemetryTask",
-    "merged_metrics",
     "run_campaigns",
     "run_campaigns_resilient",
     "summarize_campaign",
@@ -135,26 +133,6 @@ class SweepManifest:
             "failures": [failure.to_dict() for failure in self.failures],
         }
 
-    def merged_metrics(self) -> MetricsRegistry:
-        """One registry folding every completed summary's telemetry."""
-        return merged_metrics(self.completed_summaries())
-
-
-def merged_metrics(
-    summaries: Sequence[Optional[CampaignSummary]],
-) -> MetricsRegistry:
-    """Merge the sweep's per-worker telemetry registries into one.
-
-    The merge is commutative and associative series-by-series, so the
-    result is independent of worker count and scheduling: a 4-worker
-    sweep merges to exactly the registry a single process accumulates
-    over the same seeds.
-    """
-    return merge_registries(
-        summary.telemetry.get("metrics", {})
-        for summary in summaries
-        if summary is not None and summary.telemetry
-    )
 
 
 def summarize_campaign(config: CampaignConfig) -> CampaignSummary:
@@ -173,7 +151,8 @@ class TelemetryTask:
     for the duration of its campaign, so workers never share
     registries; the snapshot rides back to the runner inside the
     summary (plain JSON, no pickling of live telemetry objects), where
-    :func:`merged_metrics` folds the fleet back together.
+    :func:`~repro.observability.metrics.merge_registries` folds the fleet
+    back together.
     """
 
     def __init__(self, level: str = TELEMETRY_METRICS) -> None:

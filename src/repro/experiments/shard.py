@@ -17,13 +17,12 @@ one logical campaign into deterministic per-phone-range shards:
   :class:`~repro.analysis.streaming.CampaignAccumulator` — raw records
   never leave the worker, so peak memory is bounded by the largest
   shard, not the fleet;
-* :func:`merge_shards` folds shard partials into one
-  :class:`CampaignSummary` that is **bit-identical** to the summary a
-  monolithic run of the same config produces, for *any* tiling of the
-  fleet (the streaming accumulators replay the batch pipeline's
-  aggregation orders exactly); :func:`merge_shard_files` folds
-  committed shard files one at a time from disk, keeping the parent's
-  peak memory flat in shard count;
+* :func:`merge_shard_files` folds committed shard files, one at a
+  time from disk, into one :class:`CampaignSummary` that is
+  **bit-identical** to the summary a monolithic run of the same config
+  produces, for *any* tiling of the fleet (the streaming accumulators
+  replay the batch pipeline's aggregation orders exactly), keeping the
+  parent's peak memory flat in shard count;
 * the **committed-shard ledger** — :func:`read_committed_shard` (the
   one validator of a committed file) and :func:`adopt_disjoint` (the
   one rule choosing non-overlapping ranges) — is shared by the resume
@@ -694,22 +693,6 @@ def _merge_stream(
         ingest=ingest,
         events_fired=events,
     )
-
-
-def merge_shards(
-    results: Sequence[ShardResult], config: CampaignConfig
-) -> CampaignSummary:
-    """Fold in-memory shard partials into the monolithic summary.
-
-    ``config`` is the *original* unsharded campaign config; the
-    returned summary carries it (not any shard's sliced config), its
-    ground truth folds per-phone partials in global phone-index order,
-    and its sections come from the merged streaming accumulators — all
-    bit-identical to ``CampaignSummary.from_result(run_campaign(config))``
-    up to the telemetry caveat in the module docstring.
-    """
-    ordered = sorted(results, key=lambda r: r.phone_range[0])
-    return _merge_stream(iter(ordered), config).summary
 
 
 def merge_shard_files(

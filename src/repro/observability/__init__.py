@@ -25,7 +25,6 @@ from repro.observability.export import (
     hotspot_summary,
     render_hotspots,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.observability.live import (
     LiveCoordinator,
@@ -51,7 +50,6 @@ from repro.observability.telemetry import (
     TELEMETRY_TRACE,
     Telemetry,
     current_telemetry,
-    install_telemetry,
 )
 from repro.observability.prom import prometheus_text, write_prometheus
 from repro.observability.tracer import Span, SpanTracer
@@ -80,9 +78,7 @@ __all__ = [
     "TELEMETRY_OFF",
     "TELEMETRY_TRACE",
     "current_telemetry",
-    "install_telemetry",
     "chrome_trace",
-    "write_chrome_trace",
     "validate_chrome_trace",
     "hotspot_summary",
     "render_hotspots",

@@ -25,7 +25,6 @@ against ``repro trace`` output.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from repro.observability.metrics import MetricsRegistry
@@ -33,7 +32,6 @@ from repro.observability.tracer import Span, SpanTracer
 
 __all__ = [
     "chrome_trace",
-    "write_chrome_trace",
     "validate_chrome_trace",
     "hotspot_summary",
     "render_hotspots",
@@ -204,19 +202,6 @@ def chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": other,
     }
-
-
-def write_chrome_trace(
-    path: str,
-    tracer: SpanTracer,
-    registry: Optional[MetricsRegistry] = None,
-) -> int:
-    """Write the Chrome trace JSON to ``path``; returns the event count."""
-    trace = chrome_trace(tracer, registry)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace, handle)
-        handle.write("\n")
-    return len(trace["traceEvents"])
 
 
 def validate_chrome_trace(trace: Any) -> List[str]:

@@ -31,7 +31,7 @@ the registry back through the summary channel):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import SpanTracer
@@ -43,7 +43,6 @@ __all__ = [
     "TELEMETRY_LEVELS",
     "Telemetry",
     "current_telemetry",
-    "install_telemetry",
 ]
 
 TELEMETRY_OFF = "off"
@@ -140,15 +139,3 @@ def current_telemetry() -> Telemetry:
     """The process-current telemetry (the disabled singleton by default)."""
     return _current
 
-
-def install_telemetry(telemetry: Optional[Telemetry]) -> Telemetry:
-    """Install ``telemetry`` globally (``None`` restores the disabled
-    singleton); returns the previously installed instance.
-
-    Prefer :meth:`Telemetry.installed` (scope-bound); this exists for
-    long-lived embeddings (a REPL, a service) that own the lifetime.
-    """
-    global _current
-    previous = _current
-    _current = telemetry if telemetry is not None else DISABLED
-    return previous

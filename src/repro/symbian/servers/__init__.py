@@ -12,12 +12,9 @@ Each server mirrors the role the paper assigns it:
   Panic Detector.
 * :mod:`viewsrv`  — the View Server that panics unresponsive
   applications (ViewSrv 11).
-* :mod:`flogger`  — the limited ``flogger`` facility, including its
-  magic-directory quirk the paper complains about.
 """
 
 from repro.symbian.servers.apparch import AppArchServer
-from repro.symbian.servers.flogger import FileLogger
 from repro.symbian.servers.logdb import LogDatabaseServer, LogEvent
 from repro.symbian.servers.rdebug import RDebug
 from repro.symbian.servers.sysagent import SystemAgent
@@ -30,5 +27,4 @@ __all__ = [
     "SystemAgent",
     "RDebug",
     "ViewServer",
-    "FileLogger",
 ]

@@ -89,6 +89,11 @@ class TestLogDirectory:
         assert first == [self.LINE]
 
 
+#: A faults run small enough to finish in seconds if a check lets it start.
+FAULTS_QUICK = ["faults", "--phones", "2", "--months", "0.5", "--intensities", "1"]
+MEGAFLEET_QUICK = ["--phones", "4", "--months", "0.5", "--shards", "2"]
+
+
 class TestCli:
     def test_campaign_headline(self, capsys):
         code = main(
@@ -268,6 +273,20 @@ class TestCli:
             ["monitor", "DIR", "--interval", "0"],
             ["monitor", "DIR", "--interval", "nan"],
             ["monitor", "DIR", "--interval", "inf"],
+            ["trace", "MISSING", "--phones", "2", "--months", "0.5"],
+            ["trace", "DIR", "--phones", "2", "--months", "0.5"],
+            ["trace", "FILE", "--phones", "2", "--months", "0.5"],
+            ["perf", "--phones", "2", "--months", "0.5", "--output", "MISSING"],
+            ["perf", "--phones", "2", "--months", "0.5", "--output", "DIR"],
+            [*FAULTS_QUICK, "--output", "MISSING"],
+            [*FAULTS_QUICK, "--output", "DIR"],
+            ["megafleet", *MEGAFLEET_QUICK, "--output", "MISSING"],
+            ["megafleet", *MEGAFLEET_QUICK, "--output", "DIR"],
+            [*FAULTS_QUICK, "--max-drift", "nan"],
+            [*FAULTS_QUICK, "--max-drift", "-1"],
+            [*FAULTS_QUICK, "--max-drift", "inf"],
+            [*FAULTS_QUICK, "--max-drift", "5", "--gate-intensity", "nan"],
+            [*FAULTS_QUICK, "--max-drift", "5", "--gate-intensity", "0.5"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -275,19 +294,56 @@ class TestCli:
         """An invalid configuration is a one-line message, not a
         traceback — and never silently accepted.  ``REGULAR`` is a
         regular file and ``FILE`` lies under it, so neither can be made
-        a directory."""
+        a directory or written; ``MISSING`` lies in a directory that
+        does not exist."""
         (tmp_path / "file").write_text("")
         paths = {
             "OUT": str(tmp_path / "OUT"),
             "DIR": str(tmp_path),
             "REGULAR": str(tmp_path / "file"),
             "FILE": str(tmp_path / "file" / "run"),
+            "MISSING": str(tmp_path / "missing" / "x.json"),
         }
         argv = [paths.get(arg, arg) for arg in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"repro {argv[0]}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["trace", "PATH"],
+            ["perf", "--output", "PATH"],
+            ["faults", "--output", "PATH"],
+            ["megafleet", *MEGAFLEET_QUICK, "--output", "PATH"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_fails_before_simulating(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        """The output path is checked before any phone is simulated,
+        and the refused command leaves no file behind."""
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the output path")
+
+        for target in (
+            "repro.cli.run_campaign",
+            "repro.cli.measure_campaign",
+            "repro.cli.run_degradation_experiment",
+            "repro.experiments.shard.run_sharded_campaign",
+        ):
+            monkeypatch.setattr(target, no_simulation)
+        path = tmp_path / "missing" / "x.json"
+        argv = [str(path) if arg == "PATH" else arg for arg in command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"repro {command[0]}: cannot write {path}: "
+            f"no such directory {path.parent}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyzeFlags:
@@ -466,6 +522,10 @@ class TestSweepCommand:
         assert main(["faults", "--intensities", "-1"]) == 1
         assert capsys.readouterr().err == (
             "repro faults: intensities must be positive numbers\n"
+        )
+        assert main(["faults", "--intensities", "0.5,inf"]) == 1
+        assert capsys.readouterr().err == (
+            "repro faults: intensities must be finite, got inf\n"
         )
 
 

@@ -10,7 +10,6 @@ from repro.core.clock import (
     SECOND,
     WEEK,
     SimClock,
-    format_duration,
     format_instant,
 )
 from repro.core.errors import SimulationError
@@ -60,26 +59,6 @@ class TestSimClock:
 
     def test_repr_mentions_time(self):
         assert "day 0" in repr(SimClock())
-
-
-class TestFormatDuration:
-    def test_sub_minute_uses_seconds(self):
-        assert format_duration(45) == "45.0s"
-
-    def test_zero(self):
-        assert format_duration(0) == "0.0s"
-
-    def test_minutes(self):
-        assert format_duration(5 * MINUTE) == "00:05:00"
-
-    def test_hours_minutes_seconds(self):
-        assert format_duration(2 * HOUR + 3 * MINUTE + 4) == "02:03:04"
-
-    def test_days_prefix(self):
-        assert format_duration(2 * DAY + 3 * HOUR + 15 * MINUTE) == "2d 03:15:00"
-
-    def test_negative_duration(self):
-        assert format_duration(-45) == "-45.0s"
 
 
 class TestFormatInstant:

@@ -17,7 +17,6 @@ from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.runner import (
     TelemetryTask,
-    merged_metrics,
     run_campaigns,
     run_campaigns_resilient,
 )
@@ -246,8 +245,12 @@ class TestSweepTelemetryMerge:
         task = TelemetryTask(TELEMETRY_METRICS)
         serial = run_campaigns(configs, workers=1, task=task)
         pooled = run_campaigns(configs, workers=4, task=task)
-        merged_serial = merged_metrics(serial).deterministic_dict()
-        merged_pooled = merged_metrics(pooled).deterministic_dict()
+        merged_serial = merge_registries(
+            summary.telemetry["metrics"] for summary in serial
+        ).deterministic_dict()
+        merged_pooled = merge_registries(
+            summary.telemetry["metrics"] for summary in pooled
+        ).deterministic_dict()
         assert merged_pooled == merged_serial
         assert merged_pooled["sim.events_fired_total"]["series"][0]["value"] > 0
 
@@ -256,7 +259,10 @@ class TestSweepTelemetryMerge:
         manifest = run_campaigns_resilient(
             configs, task=TelemetryTask(TELEMETRY_METRICS)
         )
-        totals = manifest.merged_metrics().counter_totals()
+        totals = merge_registries(
+            summary.telemetry["metrics"]
+            for summary in manifest.completed_summaries()
+        ).counter_totals()
         assert totals["phone.boots_total"] > 0
 
 

@@ -36,10 +36,7 @@ MODULES = [
     "repro.symbian.descriptors",
     "repro.symbian.active",
     "repro.symbian.timers",
-    "repro.symbian.threads",
-    "repro.symbian.workloads",
     "repro.symbian.ipc",
-    "repro.symbian.fileserver",
     "repro.symbian.appfw",
     "repro.symbian.errors",
     "repro.symbian.servers.apparch",
@@ -47,7 +44,6 @@ MODULES = [
     "repro.symbian.servers.sysagent",
     "repro.symbian.servers.rdebug",
     "repro.symbian.servers.viewsrv",
-    "repro.symbian.servers.flogger",
     "repro.phone.apps",
     "repro.phone.battery",
     "repro.phone.device",

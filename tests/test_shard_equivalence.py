@@ -27,9 +27,10 @@ from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import WorkQueueExecutor
 from repro.experiments.shard import (
+    CommittedShard,
     ShardResult,
     ShardTask,
-    merge_shards,
+    merge_shard_files,
     plan_shards,
     run_sharded_campaign,
 )
@@ -153,17 +154,27 @@ def test_plan_shards_rejects_bad_plans(config):
         plan_shards(sliced, 2)
 
 
-def test_merge_rejects_incomplete_or_overlapping_tilings(config):
+def commit_shards(directory, shard_configs) -> list:
+    """Run each shard and commit its file, as an executor worker does."""
+    cache = CampaignCache(str(directory))
     task = ShardTask()
-    results = [task(c) for c in plan_shards(config, 3)]
+    return [
+        CommittedShard(c.fleet.phone_range, cache.put(c, task(c)))
+        for c in shard_configs
+    ]
+
+
+def test_merge_rejects_incomplete_or_overlapping_tilings(tmp_path, config):
+    committed = commit_shards(tmp_path, plan_shards(config, 3))
     with pytest.raises(ValueError, match="shard ranges"):
-        merge_shards(results[:-1], config)
+        merge_shard_files(committed[:-1], config)
     with pytest.raises(ValueError, match="shard ranges"):
-        merge_shards(results + [results[-1]], config)
+        merge_shard_files(committed + [committed[-1]], config)
     with pytest.raises(ValueError, match="no shard results"):
-        merge_shards([], config)
-    full = merge_shards(results, config)
-    assert full.to_dict() == merge_shards(list(reversed(results)), config).to_dict()
+        merge_shard_files([], config)
+    full = merge_shard_files(committed, config).summary
+    reordered = merge_shard_files(list(reversed(committed)), config).summary
+    assert full.to_dict() == reordered.to_dict()
 
 
 def test_shard_result_wire_round_trip(config):
@@ -243,12 +254,12 @@ def test_shard_result_wire_format_hardening(config):
         ShardResult.from_dict(corrupt(config="not an object"))
 
 
-def test_merge_rejects_duplicated_phone_range(config):
+def test_merge_rejects_duplicated_phone_range(tmp_path, config):
     """The same range twice is an overlap, even with identical data."""
-    results = [ShardTask()(c) for c in plan_shards(config, 3)]
-    duplicated = [results[0]] + results
+    committed = commit_shards(tmp_path, plan_shards(config, 3))
+    duplicated = [committed[0]] + committed
     with pytest.raises(ValueError, match="shard ranges"):
-        merge_shards(duplicated, config)
+        merge_shard_files(duplicated, config)
 
 
 # -- the executor ---------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.symbian.errors import PanicRaised
 from repro.symbian.kernel import KernelExecutive
 from repro.symbian.panics import VIEW_SRV_11
 from repro.symbian.servers.apparch import TOPIC_APPS_CHANGED, AppArchServer
-from repro.symbian.servers.flogger import FileLogger
 from repro.symbian.servers.logdb import TOPIC_LOG_EVENT, LogDatabaseServer, LogEvent
 from repro.symbian.servers.rdebug import RDebug
 from repro.symbian.servers.sysagent import TOPIC_POWER_CHANGED, SystemAgent
@@ -282,34 +281,3 @@ class TestViewServer:
         viewsrv.ping(process)
         assert process.alive
 
-
-class TestFileLogger:
-    def test_write_without_directory_dropped(self):
-        flogger = FileLogger()
-        assert not flogger.write("Xdir", "log.txt", "hello")
-        assert flogger.read("Xdir", "log.txt") == ()
-        assert flogger.dropped == 1
-
-    def test_write_with_directory_stored(self):
-        flogger = FileLogger()
-        flogger.create_directory("Xdir")
-        assert flogger.write("Xdir", "log.txt", "hello")
-        assert flogger.read("Xdir", "log.txt") == ("hello",)
-
-    def test_directories_are_specific(self):
-        flogger = FileLogger()
-        flogger.create_directory("Xdir")
-        assert not flogger.write("Ydir", "log.txt", "hello")
-
-    def test_directory_exists(self):
-        flogger = FileLogger()
-        assert not flogger.directory_exists("Xdir")
-        flogger.create_directory("Xdir")
-        assert flogger.directory_exists("Xdir")
-
-    def test_appends_in_order(self):
-        flogger = FileLogger()
-        flogger.create_directory("d")
-        flogger.write("d", "f", "one")
-        flogger.write("d", "f", "two")
-        assert flogger.read("d", "f") == ("one", "two")
