@@ -16,8 +16,9 @@ workstation) and reproduces the paper's evaluation artifacts:
 * Table 4 and Figure 6 — panic-running-applications relationship
   (:mod:`runapps`);
 * the full text report combining all of them (:mod:`report`);
-* mergeable streaming accumulators reproducing every section with
-  constant memory for sharded mega-fleet runs (:mod:`streaming`).
+* a mergeable streaming accumulator (one partial per phone)
+  reproducing every section with constant memory for sharded
+  mega-fleet runs (:mod:`streaming`).
 """
 
 from repro.analysis.activity import ActivityTable, compute_activity_table
@@ -61,7 +62,7 @@ from repro.analysis.shutdowns import (
     ShutdownStudy,
     compute_shutdown_study,
 )
-from repro.analysis.streaming import CampaignAccumulator, PhoneAccumulator
+from repro.analysis.streaming import CampaignAccumulator
 
 __all__ = [
     "Dataset",
@@ -105,5 +106,4 @@ __all__ = [
     "ReproductionReport",
     "build_report",
     "CampaignAccumulator",
-    "PhoneAccumulator",
 ]

@@ -170,7 +170,7 @@ def activity_table_from_pairs(
 ) -> ActivityTable:
     """Table 3 from (activity at panic time, panic category) pairs.
 
-    The aggregation core shared with the streaming accumulators.  Pass
+    The aggregation core shared with the streaming accumulator.  Pass
     pairs in the coalescence match order: the row-total float folds
     follow the cells' first-appearance order, so the sequence order is
     part of the bit-identity contract.

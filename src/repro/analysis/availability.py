@@ -106,7 +106,7 @@ def availability_from_observations(
     """Availability figures from per-phone observed hours plus a study.
 
     This is the aggregation core shared by the batch path and the
-    streaming accumulators.  ``observed`` must map *every* phone in the
+    streaming accumulator.  ``observed`` must map *every* phone in the
     dataset, in the dataset's (lexicographic) phone order: the total
     and the per-phone MTBF means are float folds whose order follows
     the mapping's insertion order.

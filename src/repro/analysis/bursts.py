@@ -91,8 +91,8 @@ def burst_sizes_summary(sizes: List[int], gap: float) -> Dict[str, object]:
 
     Every figure in the section is a function of the multiset of burst
     sizes (counts and integer-ratio percentages, output sorted by
-    size), so streaming accumulators can carry just the sizes and fold
-    them in any order.
+    size), so the streaming accumulator can carry just the sizes and
+    fold them in any order.
     """
     total = sum(sizes)
     counts: Dict[int, int] = {}

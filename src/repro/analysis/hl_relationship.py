@@ -18,14 +18,13 @@ observations this module recovers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.coalescence import (
     DEFAULT_WINDOW,
     HL_FREEZE,
     CoalescenceResult,
-    HlEvent,
     coalesce,
     hl_events_from_study,
 )
@@ -72,7 +71,6 @@ class HlRelationship:
     #: Robustness check: related percent when *all* shutdown events
     #: (including user shutdowns) count as HL events (paper: 55%).
     related_percent_all_shutdowns: float
-    result: CoalescenceResult = field(repr=False, default=None)
 
     def row(self, category: str) -> Optional[CategoryHlRow]:
         for row in self.rows:
@@ -122,7 +120,7 @@ def rows_from_outcomes(
 ) -> List[CategoryHlRow]:
     """Figure 5 rows from (category, matched HL kind or ``None``) pairs.
 
-    The aggregation core shared with the streaming accumulators.  Pass
+    The aggregation core shared with the streaming accumulator.  Pass
     all matched panics first (in match order) and then the isolated
     ones: the sort on total is stable, so row order for tied totals
     follows first appearance in exactly that sequence — the batch
@@ -154,12 +152,12 @@ def compute_hl_relationship(
     dataset: Dataset,
     study: ShutdownStudy,
     window: float = DEFAULT_WINDOW,
-    hl_events: Optional[Sequence[HlEvent]] = None,
+    result: Optional[CoalescenceResult] = None,
 ) -> HlRelationship:
-    """Run the coalescence and aggregate per category."""
-    if hl_events is None:
-        hl_events = hl_events_from_study(study)
-    result = coalesce(dataset, hl_events, window)
+    """Run the coalescence (unless ``result`` is given) and aggregate
+    per category."""
+    if result is None:
+        result = coalesce(dataset, hl_events_from_study(study), window)
 
     outcomes: List[Tuple[str, Optional[str]]] = [
         (match.panic.category, match.hl_event.kind) for match in result.matches
@@ -177,5 +175,4 @@ def compute_hl_relationship(
         rows=rows,
         related_percent=result.related_percent,
         related_percent_all_shutdowns=all_result.related_percent,
-        result=result,
     )

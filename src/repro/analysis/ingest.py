@@ -125,7 +125,7 @@ def observation_hours(start_time: float, end_time: float) -> float:
     """Wall-clock observation hours between enrollment and campaign end.
 
     Shared by :meth:`PhoneLog.observed_hours` and the streaming
-    accumulators (which carry only ``start_time`` per phone), so the
+    accumulator (which carries only ``start_time`` per phone), so the
     two paths compute the identical float.
     """
     return max(end_time - start_time, 0.0) / 3600.0

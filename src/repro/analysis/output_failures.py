@@ -76,8 +76,8 @@ class OutputFailureStats:
 @dataclass(frozen=True)
 class PhoneReportPart:
     """One phone's contribution to the output-failure section — the
-    per-phone unit streaming accumulators carry between shard workers
-    and the merge step."""
+    per-phone unit the batch path and the streaming finalize both
+    fold."""
 
     #: Report kinds, in log order.
     kinds: Tuple[str, ...]
@@ -112,7 +112,7 @@ def stats_from_phone_parts(
     """Fold per-phone parts into :class:`OutputFailureStats`.
 
     The aggregation core shared by the batch path and the streaming
-    accumulators.  Pass parts in the dataset's (lexicographic) phone
+    accumulator.  Pass parts in the dataset's (lexicographic) phone
     order: the observed-hours total and the chance baseline are float
     folds in that order.
     """

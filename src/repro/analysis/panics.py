@@ -97,7 +97,7 @@ def compute_panic_table(dataset: Dataset) -> PanicTable:
 def panic_table_from_counts(counts: Dict[PanicId, int]) -> PanicTable:
     """Assemble Table 2 from (category, type) counts.
 
-    The aggregation core shared with the streaming accumulators: the
+    The aggregation core shared with the streaming accumulator: the
     row sort key is a total order over (category total, category,
     count, type), so any insertion order of ``counts`` produces the
     same table.

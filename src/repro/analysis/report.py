@@ -14,7 +14,6 @@ from repro.analysis.availability import AvailabilityStats, compute_availability
 from repro.analysis.bursts import BurstStats, compute_bursts
 from repro.analysis.coalescence import (
     DEFAULT_WINDOW,
-    CoalescenceResult,
     coalesce,
     hl_events_from_study,
 )
@@ -43,7 +42,6 @@ class ReproductionReport:
     availability: AvailabilityStats
     panic_table: PanicTable
     bursts: BurstStats
-    coalescence: CoalescenceResult
     hl: HlRelationship
     activity: ActivityTable
     runapps: RunningAppsStats
@@ -314,9 +312,8 @@ def build_report(
     availability = compute_availability(dataset, study)
     panic_table = compute_panic_table(dataset)
     bursts = compute_bursts(dataset)
-    hl_events = hl_events_from_study(study)
-    result = coalesce(dataset, hl_events, window)
-    hl = compute_hl_relationship(dataset, study, window, hl_events)
+    result = coalesce(dataset, hl_events_from_study(study), window)
+    hl = compute_hl_relationship(dataset, study, window, result)
     activity = compute_activity_table(dataset, study, window, result)
     runapps = compute_running_apps(dataset, study, window, result)
     output_failures = compute_output_failures(dataset, window)
@@ -326,7 +323,6 @@ def build_report(
         availability=availability,
         panic_table=panic_table,
         bursts=bursts,
-        coalescence=result,
         hl=hl,
         activity=activity,
         runapps=runapps,

@@ -130,7 +130,7 @@ def runapps_stats_from_joins(
 ) -> RunningAppsStats:
     """Figure 6 + Table 4 from (category, HL outcome, apps) joins.
 
-    The aggregation core shared with the streaming accumulators; pass
+    The aggregation core shared with the streaming accumulator; pass
     joins in the dataset's global panic-time order (the batch path's
     ``all_panics`` order) so dict insertion orders match the batch
     result exactly.

@@ -174,8 +174,8 @@ class ShutdownStudy:
 @dataclass(frozen=True)
 class PhoneBootClassification:
     """One phone's boot records classified — the per-phone core of
-    :func:`compute_shutdown_study`, and the unit streaming accumulators
-    carry between shard workers and the merge step."""
+    :func:`compute_shutdown_study`, and of the streaming accumulator's
+    per-phone partial."""
 
     phone_id: str
     freezes: Tuple[FreezeEvent, ...]

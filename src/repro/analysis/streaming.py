@@ -1,17 +1,26 @@
-"""Mergeable streaming accumulators — constant-memory shard analysis.
+"""Mergeable streaming accumulator — constant-memory shard analysis.
 
 The batch pipeline (:func:`repro.analysis.report.build_report`)
 materialises every phone's parsed log in one :class:`Dataset` before
-aggregating, so a single process pays O(fleet records) memory.  This
-module decomposes every report section into a **per-phone reduction**
-plus an **order-independent merge**: a shard worker folds each phone's
-log into a small JSON-native partial (events, per-panic joins, counts
-— never raw records), partials from any number of shards merge in any
-order, and one finalize pass reproduces the monolithic report section
-by section, **bit-identically**.
+aggregating, so a single process pays O(fleet records) memory.  The
+paper's analysis is a per-phone fold, so this module keeps **one
+JSON-native partial per phone**: a shard worker reduces each phone's
+log to its partial (classified boots, observation start, record
+count, burst sizes, user-report part and one row per panic — never
+raw records), partials from any number of shards merge as a disjoint
+union in any order, and one finalize pass (:meth:`sections`)
+reproduces the monolithic report section by section,
+**bit-identically**.
 
-Bit-identity holds by construction, not by luck: every accumulator
-finalizes through the same aggregation core its batch counterpart uses
+Each panic is one row ``[time, category, type, matched HL kind or
+None, matched under all-shutdowns, activity, running apps]``: the
+window matching, the activity lookup and the running-apps join all
+ran in the worker against the phone's own records, so every section
+that reads panics (Table 2, Figure 5, Table 3, Figure 6/Table 4)
+reads the same row.
+
+Bit-identity holds by construction, not by luck: finalize goes
+through the same aggregation cores the batch path uses
 (:func:`~repro.analysis.shutdowns.assemble_study`,
 :func:`~repro.analysis.availability.availability_from_observations`,
 :func:`~repro.analysis.panics.panic_table_from_counts`,
@@ -19,23 +28,21 @@ finalizes through the same aggregation core its batch counterpart uses
 :func:`~repro.analysis.hl_relationship.rows_from_outcomes`,
 :func:`~repro.analysis.activity.activity_table_from_pairs`,
 :func:`~repro.analysis.runapps.runapps_stats_from_joins`,
-:func:`~repro.analysis.output_failures.stats_from_phone_parts`), and
-finalize replays the batch path's float-fold orders exactly: phones in
+:func:`~repro.analysis.output_failures.stats_from_phone_parts`) and
+replays the batch path's float-fold orders exactly: phones in
 lexicographic id order, panics in the global stable time sort of
-``Dataset.all_panics``.  Merging is a disjoint union over phone ids —
-a phone appearing in two shards is a double-count and raises
-:class:`~repro.core.errors.AnalysisError`.
+``Dataset.all_panics``.  A phone appearing in two partials is a
+double-count and raises :class:`~repro.core.errors.AnalysisError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.activity import (
     activity_at,
     activity_intervals,
     activity_table_from_pairs,
-    ActivityTable,
 )
 from repro.analysis.availability import (
     AvailabilityStats,
@@ -60,12 +67,11 @@ from repro.analysis.output_failures import (
     phone_report_part,
     stats_from_phone_parts,
 )
-from repro.analysis.panics import PanicTable, panic_table_from_counts
+from repro.analysis.panics import panic_table_from_counts
 from repro.analysis.runapps import (
     OUTCOME_FREEZE,
     OUTCOME_NONE,
     OUTCOME_SELF_SHUTDOWN,
-    RunningAppsStats,
     running_apps_at,
     runapps_stats_from_joins,
 )
@@ -82,240 +88,20 @@ from repro.core.errors import AnalysisError
 from repro.symbian.panics import PanicId
 
 #: Version stamp of the accumulator wire format (shard cache entries).
-STREAMING_FORMAT_VERSION = 1
+STREAMING_FORMAT_VERSION = 2
 
-
-class PhoneAccumulator:
-    """Base of every streaming accumulator: a phone-keyed partial map.
-
-    State is one JSON-native payload per phone.  ``merge`` is a
-    disjoint dict union — commutative and associative because finalize
-    always iterates phones in sorted order — and overlapping phone ids
-    raise :class:`AnalysisError` so a shard-planning bug can never
-    silently double-count a phone.  The empty accumulator is the merge
-    identity.
-    """
-
-    def __init__(self, phones: Optional[Dict[str, object]] = None) -> None:
-        self.phones: Dict[str, object] = dict(phones) if phones else {}
-
-    def add_phone(self, phone_id: str, payload: object) -> None:
-        """Record one phone's partial (a phone folds in exactly once)."""
-        if phone_id in self.phones:
-            raise AnalysisError(
-                f"{type(self).__name__}: phone {phone_id!r} already "
-                "accumulated (double-count)"
-            )
-        self.phones[phone_id] = payload
-
-    def merge(self, other: "PhoneAccumulator") -> "PhoneAccumulator":
-        """Disjoint union of two partials (raises on phone overlap)."""
-        if type(other) is not type(self):
-            raise AnalysisError(
-                f"cannot merge {type(self).__name__} with "
-                f"{type(other).__name__}"
-            )
-        overlap = self.phones.keys() & other.phones.keys()
-        if overlap:
-            raise AnalysisError(
-                f"{type(self).__name__}: merge would double-count "
-                f"phones {sorted(overlap)[:5]!r}"
-            )
-        return type(self)({**self.phones, **other.phones})
-
-    def ordered(self) -> Iterator[Tuple[str, object]]:
-        """Per-phone payloads in lexicographic phone-id order — the
-        dataset's iteration order, which finalize folds must follow."""
-        for phone_id in sorted(self.phones):
-            yield phone_id, self.phones[phone_id]
-
-    def to_dict(self) -> Dict[str, object]:
-        """Canonical JSON-native snapshot (phones sorted)."""
-        return {"phones": {pid: payload for pid, payload in self.ordered()}}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "PhoneAccumulator":
-        """Inverse of :meth:`to_dict`."""
-        return cls(dict(payload["phones"]))
-
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.phones == other.phones
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(phones={len(self.phones)})"
-
-
-class ShutdownAccumulator(PhoneAccumulator):
-    """Boot classifications: freezes, shutdowns, excluded-boot counts."""
-
-    def study(self) -> ShutdownStudy:
-        """Rebuild the :class:`ShutdownStudy` the batch path computes."""
-        classifications: List[PhoneBootClassification] = []
-        for phone_id, payload in self.ordered():
-            classifications.append(
-                PhoneBootClassification(
-                    phone_id=phone_id,
-                    freezes=tuple(
-                        FreezeEvent(phone_id, detected_at, last_alive)
-                        for detected_at, last_alive in payload["freezes"]
-                    ),
-                    shutdowns=tuple(
-                        ShutdownEvent(phone_id, at, boot_time)
-                        for at, boot_time in payload["shutdowns"]
-                    ),
-                    lowbt_count=payload["lowbt"],
-                    maoff_count=payload["maoff"],
-                    first_boot_count=payload["first_boots"],
-                )
-            )
-        return assemble_study(classifications)
-
-
-class AvailabilityAccumulator(PhoneAccumulator):
-    """Observation state: per-phone start time and record count."""
-
-    def observed(self, end_time: float) -> Dict[str, float]:
-        """Per-phone observed hours, in lexicographic phone order."""
-        return {
-            phone_id: observation_hours(payload["start_time"], end_time)
-            for phone_id, payload in self.ordered()
-        }
-
-    @property
-    def record_count(self) -> int:
-        """Parsed records across all phones (telemetry parity)."""
-        return sum(payload["records"] for _pid, payload in self.ordered())
-
-
-class PanicRowAccumulator(PhoneAccumulator):
-    """Shared shape for per-panic rows with the panic time at index 0."""
-
-    def time_ordered(self) -> List[list]:
-        """All rows in the global stable time sort ``all_panics`` uses:
-        concatenate phones lexicographically, then stable-sort on time."""
-        rows: List[list] = []
-        for _phone_id, payload in self.ordered():
-            rows.extend(payload)
-        rows.sort(key=lambda row: row[0])
-        return rows
-
-
-class PanicTableAccumulator(PhoneAccumulator):
-    """Per-panic (category, type) pairs for Table 2."""
-
-    def table(self) -> PanicTable:
-        counts: Dict[PanicId, int] = {}
-        for _phone_id, payload in self.ordered():
-            for category, ptype in payload:
-                pid = PanicId(category, ptype)
-                counts[pid] = counts.get(pid, 0) + 1
-        return panic_table_from_counts(counts)
-
-
-class BurstAccumulator(PhoneAccumulator):
-    """Per-phone cascade sizes (burst detection ran in the worker)."""
-
-    def summary(self, gap: float) -> Dict[str, object]:
-        sizes: List[int] = []
-        for _phone_id, payload in self.ordered():
-            sizes.extend(payload)
-        return burst_sizes_summary(sizes, gap)
-
-
-class CoalescenceAccumulator(PanicRowAccumulator):
-    """Per-panic HL coalescence outcomes.
-
-    Rows are ``[time, category, matched kind or None, matched under
-    the all-shutdowns robustness variant]`` — the matching itself
-    (window search against the phone's own HL events) already happened
-    in the worker, so the merge step only counts and orders.
-    """
-
-    def relationship(self, window: float) -> HlRelationship:
-        rows = self.time_ordered()
-        total = len(rows)
-        matched = [
-            (category, kind)
-            for _time, category, kind, _all in rows
-            if kind is not None
-        ]
-        isolated = [
-            (category, None)
-            for _time, category, kind, _all in rows
-            if kind is None
-        ]
-        matched_all = sum(1 for row in rows if row[3])
-        return HlRelationship(
-            window=window,
-            rows=rows_from_outcomes(matched + isolated),
-            related_percent=(100.0 * len(matched) / total) if total else 0.0,
-            related_percent_all_shutdowns=(
-                (100.0 * matched_all / total) if total else 0.0
-            ),
-            result=None,
-        )
-
-
-class ActivityAccumulator(PanicRowAccumulator):
-    """Per-panic ``[time, activity, category, matched kind]`` rows."""
-
-    def table(self) -> ActivityTable:
-        pairs = [
-            (activity, category)
-            for _time, activity, category, kind in self.time_ordered()
-            if kind is not None
-        ]
-        return activity_table_from_pairs(pairs)
-
-
-class RunappsAccumulator(PanicRowAccumulator):
-    """Per-panic ``[time, category, HL outcome, apps]`` joins."""
-
-    def stats(self) -> RunningAppsStats:
-        joins = [
-            (category, outcome, tuple(apps))
-            for _time, category, outcome, apps in self.time_ordered()
-        ]
-        return runapps_stats_from_joins(joins)
-
-
-class OutputFailureAccumulator(PhoneAccumulator):
-    """Per-phone user-report parts (kinds, correlation, coverage)."""
-
-    def stats(self, window: float):
-        parts = [
-            PhoneReportPart(
-                kinds=tuple(payload["kinds"]),
-                correlated=payload["correlated"],
-                hours=payload["hours"],
-                covered_seconds=payload["covered_seconds"],
-            )
-            for _phone_id, payload in self.ordered()
-        ]
-        return stats_from_phone_parts(parts, window)
-
-
-#: Accumulator class per report section, in the report's section order.
-SECTION_ACCUMULATORS: Dict[str, type] = {
-    "shutdowns": ShutdownAccumulator,
-    "availability": AvailabilityAccumulator,
-    "panics": PanicTableAccumulator,
-    "bursts": BurstAccumulator,
-    "hl": CoalescenceAccumulator,
-    "activity": ActivityAccumulator,
-    "runapps": RunappsAccumulator,
-    "output_failures": OutputFailureAccumulator,
-}
+#: Figure 6 outcome of a panic, by the HL kind it coalesced with.
+_OUTCOMES = {HL_FREEZE: OUTCOME_FREEZE, HL_SELF_SHUTDOWN: OUTCOME_SELF_SHUTDOWN}
 
 
 class CampaignAccumulator:
-    """Every section's streaming accumulator plus the analysis knobs.
+    """Per-phone partials plus the analysis knobs.
 
     The shard-campaign unit of work: workers build one from their slice
     of the fleet (:meth:`from_dataset`), results merge pairwise in any
     order (:meth:`merge`), and :meth:`sections` finalizes into the
     exact dict :meth:`ReproductionReport.to_dict` produces for the
-    monolithic dataset.
+    monolithic dataset.  The empty accumulator is the merge identity.
     """
 
     def __init__(
@@ -324,7 +110,7 @@ class CampaignAccumulator:
         window: float = DEFAULT_WINDOW,
         gap: float = DEFAULT_BURST_GAP,
         threshold: float = SELF_SHUTDOWN_THRESHOLD,
-        sections: Optional[Dict[str, PhoneAccumulator]] = None,
+        phones: Optional[Dict[str, dict]] = None,
     ) -> None:
         if end_time <= 0:
             raise AnalysisError(f"end_time must be positive, got {end_time}")
@@ -336,11 +122,7 @@ class CampaignAccumulator:
         self.window = window
         self.gap = gap
         self.threshold = threshold
-        self.accumulators: Dict[str, PhoneAccumulator] = (
-            sections
-            if sections is not None
-            else {name: acc() for name, acc in SECTION_ACCUMULATORS.items()}
-        )
+        self.phones: Dict[str, dict] = dict(phones) if phones else {}
 
     # -- construction ------------------------------------------------------------
 
@@ -364,98 +146,73 @@ class CampaignAccumulator:
         return acc
 
     def add_phone(self, phone_id: str, log: PhoneLog) -> None:
-        """Fold one phone's parsed log into every section's partial.
+        """Fold one phone's parsed log into its partial.
 
         This is the constant-memory step: everything the merge needs —
         classified boots, per-panic joins, report parts — is derived
         here and the raw records can be dropped afterwards.
         """
-        classification = classify_boots(phone_id, log.boots)
+        if phone_id in self.phones:
+            raise AnalysisError(
+                f"phone {phone_id!r} already accumulated (double-count)"
+            )
+        boots = classify_boots(phone_id, log.boots)
         events = phone_hl_events(
-            phone_id,
-            classification.freezes,
-            classification.shutdowns,
-            self.threshold,
+            phone_id, boots.freezes, boots.shutdowns, self.threshold
         )
         events_all = phone_hl_events(
             phone_id,
-            classification.freezes,
-            classification.shutdowns,
+            boots.freezes,
+            boots.shutdowns,
             self.threshold,
             include_user_shutdowns=True,
         )
         intervals = activity_intervals(log)
         runapp_times = [snap.time for snap in log.runapps]
-
-        panic_rows: List[list] = []
-        outcome_rows: List[list] = []
-        activity_rows: List[list] = []
-        runapp_rows: List[list] = []
+        panics: List[list] = []
         for panic in log.panics:
             nearest = matched_event(events, panic.time, self.window)
-            kind = nearest.kind if nearest is not None else None
-            matched_all = (
-                matched_event(events_all, panic.time, self.window) is not None
+            panics.append(
+                [
+                    panic.time,
+                    panic.category,
+                    panic.ptype,
+                    nearest.kind if nearest is not None else None,
+                    matched_event(events_all, panic.time, self.window)
+                    is not None,
+                    activity_at(intervals, panic.time),
+                    list(running_apps_at(log, panic.time, _times=runapp_times)),
+                ]
             )
-            activity = activity_at(intervals, panic.time)
-            apps = running_apps_at(log, panic.time, _times=runapp_times)
-            if kind == HL_FREEZE:
-                outcome = OUTCOME_FREEZE
-            elif kind == HL_SELF_SHUTDOWN:
-                outcome = OUTCOME_SELF_SHUTDOWN
-            else:
-                outcome = OUTCOME_NONE
-            panic_rows.append([panic.category, panic.ptype])
-            outcome_rows.append([panic.time, panic.category, kind, matched_all])
-            activity_rows.append([panic.time, activity, panic.category, kind])
-            runapp_rows.append([panic.time, panic.category, outcome, list(apps)])
-
-        part = phone_report_part(log, self.end_time, self.window)
         ordered_panics = sorted(log.panics, key=lambda p: p.time)
-        sizes = [
-            burst.size
-            for burst in phone_bursts(phone_id, ordered_panics, self.gap)
-        ]
-
-        self.accumulators["shutdowns"].add_phone(
-            phone_id,
-            {
-                "freezes": [
-                    [freeze.detected_at, freeze.last_alive]
-                    for freeze in classification.freezes
-                ],
-                "shutdowns": [
-                    [shutdown.at, shutdown.boot_time]
-                    for shutdown in classification.shutdowns
-                ],
-                "lowbt": classification.lowbt_count,
-                "maoff": classification.maoff_count,
-                "first_boots": classification.first_boot_count,
-            },
-        )
-        self.accumulators["availability"].add_phone(
-            phone_id,
-            {"start_time": log.start_time, "records": log.record_count},
-        )
-        self.accumulators["panics"].add_phone(phone_id, panic_rows)
-        self.accumulators["bursts"].add_phone(phone_id, sizes)
-        self.accumulators["hl"].add_phone(phone_id, outcome_rows)
-        self.accumulators["activity"].add_phone(phone_id, activity_rows)
-        self.accumulators["runapps"].add_phone(phone_id, runapp_rows)
-        self.accumulators["output_failures"].add_phone(
-            phone_id,
-            {
-                "kinds": list(part.kinds),
-                "correlated": part.correlated,
-                "hours": part.hours,
-                "covered_seconds": part.covered_seconds,
-            },
-        )
+        part = phone_report_part(log, self.end_time, self.window)
+        self.phones[phone_id] = {
+            "start_time": log.start_time,
+            "records": log.record_count,
+            "freezes": [
+                [freeze.detected_at, freeze.last_alive]
+                for freeze in boots.freezes
+            ],
+            "shutdowns": [
+                [shutdown.at, shutdown.boot_time] for shutdown in boots.shutdowns
+            ],
+            "lowbt": boots.lowbt_count,
+            "maoff": boots.maoff_count,
+            "first_boots": boots.first_boot_count,
+            "bursts": [
+                burst.size
+                for burst in phone_bursts(phone_id, ordered_panics, self.gap)
+            ],
+            "report_kinds": list(part.kinds),
+            "correlated": part.correlated,
+            "covered_seconds": part.covered_seconds,
+            "panics": panics,
+        }
 
     # -- merge -------------------------------------------------------------------
 
     def merge(self, other: "CampaignAccumulator") -> "CampaignAccumulator":
-        """Combine two disjoint partials (any order, any grouping)."""
+        """Disjoint union of two partials (any order, any grouping)."""
         for knob in ("end_time", "window", "gap", "threshold"):
             mine, theirs = getattr(self, knob), getattr(other, knob)
             if mine != theirs:
@@ -463,50 +220,119 @@ class CampaignAccumulator:
                     f"cannot merge accumulators with different {knob}: "
                     f"{mine!r} != {theirs!r}"
                 )
+        overlap = self.phones.keys() & other.phones.keys()
+        if overlap:
+            raise AnalysisError(
+                f"merge would double-count phones {sorted(overlap)[:5]!r}"
+            )
         return CampaignAccumulator(
             end_time=self.end_time,
             window=self.window,
             gap=self.gap,
             threshold=self.threshold,
-            sections={
-                name: acc.merge(other.accumulators[name])
-                for name, acc in self.accumulators.items()
-            },
+            phones={**self.phones, **other.phones},
         )
 
     # -- finalize ----------------------------------------------------------------
 
+    def _ordered(self) -> List[tuple]:
+        """``(phone_id, partial)`` in lexicographic phone-id order — the
+        dataset's iteration order, which every finalize fold follows."""
+        return sorted(self.phones.items())
+
     @property
     def phone_count(self) -> int:
-        return len(self.accumulators["availability"].phones)
+        return len(self.phones)
 
     @property
     def record_count(self) -> int:
-        return self.accumulators["availability"].record_count
+        """Parsed records across all phones (telemetry parity)."""
+        return sum(partial["records"] for partial in self.phones.values())
 
     def study(self) -> ShutdownStudy:
-        return self.accumulators["shutdowns"].study()
+        """Rebuild the :class:`ShutdownStudy` the batch path computes."""
+        return assemble_study(
+            [
+                PhoneBootClassification(
+                    phone_id=phone_id,
+                    freezes=tuple(
+                        FreezeEvent(phone_id, detected_at, last_alive)
+                        for detected_at, last_alive in partial["freezes"]
+                    ),
+                    shutdowns=tuple(
+                        ShutdownEvent(phone_id, at, boot_time)
+                        for at, boot_time in partial["shutdowns"]
+                    ),
+                    lowbt_count=partial["lowbt"],
+                    maoff_count=partial["maoff"],
+                    first_boot_count=partial["first_boots"],
+                )
+                for phone_id, partial in self._ordered()
+            ]
+        )
 
     def availability(self, study: Optional[ShutdownStudy] = None) -> AvailabilityStats:
         if study is None:
             study = self.study()
-        observed = self.accumulators["availability"].observed(self.end_time)
+        observed = {
+            phone_id: observation_hours(partial["start_time"], self.end_time)
+            for phone_id, partial in self._ordered()
+        }
         return availability_from_observations(observed, study, self.threshold)
 
     def sections(self) -> Dict[str, Dict[str, object]]:
         """Finalize into the batch report's ``to_dict`` sections."""
+        ordered = self._ordered()
         study = self.study()
+        # The global stable time sort ``Dataset.all_panics`` uses:
+        # phones lexicographically, then a stable sort on time.
+        rows = [row for _pid, partial in ordered for row in partial["panics"]]
+        rows.sort(key=lambda row: row[0])
+
+        counts: Dict[PanicId, int] = {}
+        for row in rows:
+            pid = PanicId(row[1], row[2])
+            counts[pid] = counts.get(pid, 0) + 1
+        matched = [(row[1], row[3]) for row in rows if row[3] is not None]
+        isolated = [(row[1], None) for row in rows if row[3] is None]
+        matched_all = sum(1 for row in rows if row[4])
+        total = len(rows)
+        hl = HlRelationship(
+            window=self.window,
+            rows=rows_from_outcomes(matched + isolated),
+            related_percent=(100.0 * len(matched) / total) if total else 0.0,
+            related_percent_all_shutdowns=(
+                (100.0 * matched_all / total) if total else 0.0
+            ),
+        )
+        parts = [
+            PhoneReportPart(
+                kinds=tuple(partial["report_kinds"]),
+                correlated=partial["correlated"],
+                hours=observation_hours(partial["start_time"], self.end_time),
+                covered_seconds=partial["covered_seconds"],
+            )
+            for _pid, partial in ordered
+        ]
         return {
             "shutdowns": study.to_dict(),
             "availability": self.availability(study).to_dict(),
-            "panics": self.accumulators["panics"].table().to_dict(),
-            "bursts": self.accumulators["bursts"].summary(self.gap),
-            "hl": self.accumulators["hl"].relationship(self.window).to_dict(),
-            "activity": self.accumulators["activity"].table().to_dict(),
-            "runapps": self.accumulators["runapps"].stats().to_dict(),
-            "output_failures": (
-                self.accumulators["output_failures"].stats(self.window).to_dict()
+            "panics": panic_table_from_counts(counts).to_dict(),
+            "bursts": burst_sizes_summary(
+                [size for _pid, partial in ordered for size in partial["bursts"]],
+                self.gap,
             ),
+            "hl": hl.to_dict(),
+            "activity": activity_table_from_pairs(
+                [(row[5], row[1]) for row in rows if row[3] is not None]
+            ).to_dict(),
+            "runapps": runapps_stats_from_joins(
+                [
+                    (row[1], _OUTCOMES.get(row[3], OUTCOME_NONE), tuple(row[6]))
+                    for row in rows
+                ]
+            ).to_dict(),
+            "output_failures": stats_from_phone_parts(parts, self.window).to_dict(),
         }
 
     # -- serialization -----------------------------------------------------------
@@ -519,9 +345,7 @@ class CampaignAccumulator:
             "window": self.window,
             "gap": self.gap,
             "threshold": self.threshold,
-            "sections": {
-                name: acc.to_dict() for name, acc in self.accumulators.items()
-            },
+            "phones": dict(self._ordered()),
         }
 
     @classmethod
@@ -538,10 +362,7 @@ class CampaignAccumulator:
             window=payload["window"],
             gap=payload["gap"],
             threshold=payload["threshold"],
-            sections={
-                name: SECTION_ACCUMULATORS[name].from_dict(acc_payload)
-                for name, acc_payload in payload["sections"].items()
-            },
+            phones=payload["phones"],
         )
 
     def __eq__(self, other: object) -> bool:
@@ -551,7 +372,7 @@ class CampaignAccumulator:
             and self.window == other.window
             and self.gap == other.gap
             and self.threshold == other.threshold
-            and self.accumulators == other.accumulators
+            and self.phones == other.phones
         )
 
     def __repr__(self) -> str:

@@ -82,6 +82,8 @@ from repro.experiments.campaign import run_campaign
 from repro.experiments.compare import headline_comparison
 from repro.experiments.config import CampaignConfig
 from repro.experiments.perf import (
+    baseline_counters,
+    baseline_wall_seconds,
     check_counters,
     check_regression,
     load_baseline,
@@ -597,6 +599,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_perf_baseline(path: str, section) -> dict:
+    """Read a baseline JSON and check it has what ``section`` reads."""
+    try:
+        baseline = load_baseline(path)
+        section(baseline)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"cannot load baseline {path!r}: {exc}") from None
+    return baseline
+
+
 def _cmd_perf(args: argparse.Namespace) -> int:
     config = CampaignConfig(
         fleet=FleetConfig(
@@ -606,6 +618,21 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     )
     if args.output:
         _check_writable(args.output)
+    # Checked before measuring: a bad baseline must not cost a full run.
+    if args.check_counters and not args.counters:
+        raise ConfigError(
+            "--check-counters needs the counters run; drop --no-counters"
+        )
+    timing_baseline = (
+        _load_perf_baseline(args.check_against, baseline_wall_seconds)
+        if args.check_against
+        else None
+    )
+    counters_baseline = (
+        _load_perf_baseline(args.check_counters, baseline_counters)
+        if args.check_counters
+        else None
+    )
     try:
         result = measure_campaign(
             config,
@@ -622,35 +649,15 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         print(result.render())
     if args.output:
         _write_json(args.output, result.to_dict())
-    if args.check_against:
-        try:
-            baseline = load_baseline(args.check_against)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {args.check_against!r}: {exc}",
-                  file=sys.stderr)
-            return 1
+    if timing_baseline is not None:
         ok, message = check_regression(
-            result, baseline, threshold=args.threshold
+            result, timing_baseline, threshold=args.threshold
         )
         print(("OK: " if ok else "REGRESSION: ") + message)
         if not ok:
             return 1
-    if args.check_counters:
-        if not args.counters:
-            print(
-                "--check-counters needs the counters run; drop --no-counters",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            baseline = load_baseline(args.check_counters)
-            ok, message = check_counters(result, baseline)
-        except (OSError, ValueError) as exc:
-            print(
-                f"cannot check counters against {args.check_counters!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
+    if counters_baseline is not None:
+        ok, message = check_counters(result, counters_baseline)
         print(("OK: " if ok else "DIVERGENCE: ") + message)
         if not ok:
             return 1
@@ -833,7 +840,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         else 0.0,
         "wall_seconds": round(wall, 3),
         # ru_maxrss is KiB on Linux: the parent holds only merged
-        # accumulators; shard datasets peak inside the children.
+        # per-phone partials; shard datasets peak inside the children.
         "max_rss_kb": {
             "self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             "children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,

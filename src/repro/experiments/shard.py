@@ -20,8 +20,8 @@ one logical campaign into deterministic per-phone-range shards:
 * :func:`merge_shard_files` folds committed shard files, one at a
   time from disk, into one :class:`CampaignSummary` that is
   **bit-identical** to the summary a monolithic run of the same config
-  produces, for *any* tiling of the fleet (the streaming accumulators
-  replay the batch pipeline's aggregation orders exactly), keeping the
+  produces, for *any* tiling of the fleet (the streaming accumulator
+  replays the batch pipeline's aggregation orders exactly), keeping the
   parent's peak memory flat in shard count;
 * the **committed-shard ledger** — :func:`read_committed_shard` (the
   one validator of a committed file) and :func:`adopt_disjoint` (the
@@ -332,7 +332,7 @@ class ShardTask:
     """Picklable worker task: simulate + ingest + reduce one shard.
 
     The worker never builds a batch report; it folds each phone's log
-    straight into the streaming accumulators, so its memory footprint
+    straight into the streaming accumulator, so its memory footprint
     is one shard's records plus constant-size partials.  With
     ``telemetry_level`` set, each invocation installs a fresh
     :class:`Telemetry` (workers never share registries) and the

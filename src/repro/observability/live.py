@@ -26,7 +26,7 @@ to be a black box until its final merge.  This module makes a running
 
 * **Rolling KPIs.**  :class:`LiveFolder` tails the op-log, folds
   committed shards through the order-independent streaming
-  accumulators (:mod:`repro.analysis.streaming`), and computes rolling
+  accumulator (:mod:`repro.analysis.streaming`), and computes rolling
   windowed KPIs: fleet-wide MTBF, panic-type mix, ingest quarantine
   rate, per-worker throughput, and an ETA from the remaining phone
   ranges.  Each fold can write a Prometheus text-format snapshot
@@ -496,7 +496,7 @@ class LiveFolder:
 
     Incremental: op-log files are read from their last offset, and each
     committed shard file is loaded and folded into the streaming
-    accumulators exactly once.  Folding is exactly-once under resume —
+    accumulator exactly once.  Folding is exactly-once under resume —
     a range is adopted at most once, and a committed shard's op-log
     stream is excluded from the live-delta merge via its wire-carried
     stream id.

@@ -116,10 +116,9 @@ class OSRuntime:
         self.phone_id = phone_id
 
     def teardown(self) -> None:
-        """Power-off: stop RDebug, kill AppArch, drop the process table
-        and retire the bus.  The logger daemon detaches first."""
+        """Power-off: stop RDebug, drop the process table and retire
+        the bus.  The logger daemon detaches first."""
         self.rdebug.detach()
-        self.apparch.terminate()
         self.kernel.shutdown()
         self.bus.retire()
 

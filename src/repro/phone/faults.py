@@ -45,6 +45,7 @@ from repro.symbian.cobject import CObject
 from repro.symbian.descriptors import TDes16
 from repro.symbian.errors import KERR_GENERAL, Leave, PanicRaised
 from repro.symbian.handles import RHandleBase
+from repro.symbian.ipc import RMessagePtr
 from repro.symbian.kernel import Process
 from repro.symbian.panics import PanicId
 from repro.symbian.timers import RTimer
@@ -654,8 +655,6 @@ def _inject_user_11(model: FaultModel, victim: Process) -> None:
 
 def _inject_user_70(model: FaultModel, victim: Process) -> None:
     """Complete a client/server request through a null RMessagePtr."""
-    from repro.symbian.ipc import RMessagePtr
-
     _execute(model, victim, lambda: RMessagePtr().complete(0))
 
 

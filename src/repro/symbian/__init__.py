@@ -4,12 +4,13 @@ A behavioural model, in Python, of the Symbian OS mechanisms that matter
 to the paper's failure study: the kernel executive with its panic
 machinery, the object index and handle semantics, 16-bit descriptors,
 the heap with cleanup stack / TRAP-leave / two-phase construction,
-active objects and the active scheduler, client/server IPC, and the
-system servers the failure logger talks to (Application Architecture,
-Database Log, System Agent, RDebug, View Server).  Every module here is
-on the path of some fault-model defect class: a mechanism no simulated
-phone runs is not part of the substrate (``tests/test_substrate_reach.py``
-checks that a campaign imports each one).
+active objects and the active scheduler, client/server request
+completion, and the system servers the failure logger talks to
+(Application Architecture, Database Log, System Agent, RDebug, View
+Server).  Every module here is on the path of some fault-model defect
+class: a mechanism no simulated phone runs is not part of the substrate
+(``tests/test_substrate_reach.py`` checks that a campaign imports each
+one).
 
 Panics are *raised by the substrate's own guard code*, never emitted as
 bare labels: dereferencing a null pointer goes through the address-space

@@ -12,20 +12,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.events import EventBus
-from repro.symbian.ipc import RMessage, Server
 
 #: Bus topic published on every running-set change.
 TOPIC_APPS_CHANGED = "apparch.apps_changed"
 
-#: Message function numbers.
-FN_APP_LIST = 1
 
-
-class AppArchServer(Server):
+class AppArchServer:
     """Registry of running applications."""
 
     def __init__(self, bus: Optional[EventBus] = None) -> None:
-        super().__init__("AppArchServer")
         self.bus = bus if bus is not None else EventBus()
         self._running: List[str] = []
         # Snapshot flyweights: the same running set recurs constantly
@@ -36,7 +31,6 @@ class AppArchServer(Server):
         # cache is bounded by the number of distinct sets a phone ever
         # reaches — small, since the app universe is.
         self._snapshots: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        self.handler(FN_APP_LIST, self._handle_app_list)
 
     # -- registration (called by the device/app model) ---------------------
 
@@ -66,12 +60,6 @@ class AppArchServer(Server):
 
     def is_running(self, app_id: str) -> bool:
         return app_id in self._running
-
-    # -- IPC ----------------------------------------------------------------
-
-    def _handle_app_list(self, message: RMessage) -> None:
-        """Serve the app list over IPC; the reply rides on the message."""
-        message.args[0].extend(self._running)  # caller passes a list buffer
 
     def _snapshot(self) -> Tuple[str, ...]:
         snap = tuple(self._running)

@@ -278,6 +278,11 @@ class TestCli:
             ["trace", "FILE", "--phones", "2", "--months", "0.5"],
             ["perf", "--phones", "2", "--months", "0.5", "--output", "MISSING"],
             ["perf", "--phones", "2", "--months", "0.5", "--output", "DIR"],
+            ["perf", "--phones", "2", "--months", "0.5", "--check-against", "MISSING"],
+            ["perf", "--phones", "2", "--months", "0.5", "--check-counters", "MISSING"],
+            ["perf", "--phones", "2", "--months", "0.5", "--check-counters", "REGULAR"],
+            ["perf", "--phones", "2", "--months", "0.5", "--check-counters",
+             "REGULAR", "--no-counters"],
             [*FAULTS_QUICK, "--output", "MISSING"],
             [*FAULTS_QUICK, "--output", "DIR"],
             ["megafleet", *MEGAFLEET_QUICK, "--output", "MISSING"],

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.analysis.streaming import STREAMING_FORMAT_VERSION
 from repro.core.clock import MONTH
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
@@ -373,9 +374,10 @@ def test_in_process_run_resumes_worker_commits(tmp_path, config, monolithic):
 
 
 def test_corrupt_committed_shard_is_recomputed(tmp_path, config, monolithic):
-    """A torn commit (truncated JSON) and a foreign payload (a campaign
-    summary where a shard result belongs) are skipped at scan time —
-    their ranges are recomputed, never trusted."""
+    """A torn commit (truncated JSON), a foreign payload (a campaign
+    summary where a shard result belongs) and a shard whose accumulator
+    is an older wire format are skipped at scan time — their ranges are
+    recomputed, never trusted."""
     run_sharded_campaign(
         config, shards=4, workers=2, executor="workqueue",
         spill_dir=str(tmp_path),
@@ -397,11 +399,41 @@ def test_corrupt_committed_shard_is_recomputed(tmp_path, config, monolithic):
             },
             handle,
         )
+    # A format-1 accumulator: one phone map per report section.
+    stale = commits.path_for(shard_configs[3])
+    with open(stale, "r", encoding="utf-8") as handle:
+        entry = json.load(handle)
+    accumulator = entry["summary"]["accumulator"]
+    entry["summary"]["accumulator"] = {
+        "format_version": 1,
+        **{
+            knob: accumulator[knob]
+            for knob in ("end_time", "window", "gap", "threshold")
+        },
+        "sections": {
+            "availability": {
+                "phones": {
+                    pid: {
+                        "start_time": part["start_time"],
+                        "records": part["records"],
+                    }
+                    for pid, part in accumulator["phones"].items()
+                }
+            }
+        },
+    }
+    with open(stale, "w", encoding="utf-8") as handle:
+        json.dump(entry, handle)
     resumed = run_sharded_campaign(
         config, shards=4, workers=2, executor="workqueue",
         spill_dir=str(tmp_path),
     )
-    assert resumed.stats.resumed_shards == 2
+    assert resumed.stats.resumed_shards == 1
+    # The stale range ran again and its commit now holds the current format.
+    with open(stale, "r", encoding="utf-8") as handle:
+        rerun = json.load(handle)["summary"]["accumulator"]
+    assert rerun["format_version"] == STREAMING_FORMAT_VERSION
+    assert rerun["phones"].keys() == accumulator["phones"].keys()
     assert canonical(resumed.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )

@@ -1,11 +1,12 @@
-"""Property tests for the streaming accumulators (:mod:`repro.analysis.streaming`).
+"""Property tests for the streaming accumulator (:mod:`repro.analysis.streaming`).
 
 The shard pipeline is only sound if accumulator merge behaves like a
 commutative monoid over disjoint phone sets *and* merging per-phone
 singletons reproduces the batch computation exactly.  These tests drive
-every section accumulator and :class:`CampaignAccumulator` with seeded
-random record streams (:func:`tests.helpers.random_fleet_records`) and
-check each algebraic law against full ``to_dict`` payloads.
+:class:`CampaignAccumulator` with seeded random record streams
+(:func:`tests.helpers.random_fleet_records`) and check each algebraic
+law against full ``to_dict`` payloads and, section by section, against
+the finalized report.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.report import build_report
-from repro.analysis.streaming import (
-    SECTION_ACCUMULATORS,
-    CampaignAccumulator,
-    PhoneAccumulator,
-)
+from repro.analysis.streaming import CampaignAccumulator
 from repro.core.errors import AnalysisError
 from tests.helpers import dataset_from_records, random_fleet_records
 
@@ -141,53 +138,56 @@ def test_rejects_nonpositive_knobs():
 
 
 def test_from_dict_rejects_unknown_format_version():
-    payload = CampaignAccumulator(END_TIME).to_dict()
-    payload["format_version"] = 999
-    with pytest.raises(AnalysisError, match="format version"):
-        CampaignAccumulator.from_dict(payload)
+    """Version 1 held eight per-section phone maps; its payloads are
+    refused, never read as the one-partial format."""
+    for version in (999, 1):
+        payload = CampaignAccumulator(END_TIME).to_dict()
+        payload["format_version"] = version
+        with pytest.raises(AnalysisError, match="format version"):
+            CampaignAccumulator.from_dict(payload)
 
 
-# -- section-level laws, one parametrized pass per accumulator class ----------
+# -- the laws again, one report section at a time ---------------------------
+
+SECTIONS = (
+    "shutdowns",
+    "availability",
+    "panics",
+    "bursts",
+    "hl",
+    "activity",
+    "runapps",
+    "output_failures",
+)
 
 
-@pytest.mark.parametrize("name", sorted(SECTION_ACCUMULATORS), ids=str)
+@pytest.mark.parametrize("name", sorted(SECTIONS), ids=str)
 @given(seed=seeds, phones=st.integers(min_value=2, max_value=4))
 @settings(max_examples=15, deadline=None)
 def test_section_accumulator_laws(name, seed, phones):
-    """Each section accumulator is itself a mergeable monoid whose wire
-    format round-trips and whose merge refuses phone overlap."""
-    cls = SECTION_ACCUMULATORS[name]
+    """Each finalized report section is independent of merge order and
+    grouping, and survives the wire; a failure names the section."""
     _records, full, parts = build_accumulators(seed, phones)
-    section_full = full.accumulators[name]
-    section_parts = [part.accumulators[name] for part in parts]
+    expected = full.sections()[name]
 
-    random.Random(seed ^ 0x0F0F).shuffle(section_parts)
-    merged = functools.reduce(lambda a, b: a.merge(b), section_parts, cls())
-    assert merged == section_full
-    assert merged.to_dict() == section_full.to_dict()
+    random.Random(seed ^ 0x0F0F).shuffle(parts)
+    merged = functools.reduce(
+        lambda a, b: a.merge(b), parts, CampaignAccumulator(END_TIME)
+    )
+    assert merged.sections()[name] == expected
 
-    a, rest = section_parts[0], section_parts[1:]
+    a, rest = parts[0], parts[1:]
     b = functools.reduce(lambda x, y: x.merge(y), rest)
-    assert a.merge(b) == b.merge(a)
-    assert cls().merge(merged) == merged
+    assert a.merge(b).sections()[name] == b.merge(a).sections()[name]
 
-    revived = cls.from_dict(json.loads(json.dumps(merged.to_dict())))
-    assert type(revived) is cls
-    assert revived.phones.keys() == merged.phones.keys()
-
-    with pytest.raises(AnalysisError, match="double-count"):
-        merged.merge(section_parts[0])
-
-
-def test_section_accumulators_reject_cross_type_merge():
-    classes = sorted(SECTION_ACCUMULATORS.items())
-    (_na, cls_a), (_nb, cls_b) = classes[0], classes[1]
-    with pytest.raises(AnalysisError, match="cannot merge"):
-        cls_a().merge(cls_b())
+    revived = CampaignAccumulator.from_dict(json.loads(json.dumps(merged.to_dict())))
+    assert revived.sections()[name] == expected
 
 
 def test_add_phone_rejects_duplicate():
-    acc = PhoneAccumulator()
-    acc.add_phone("phone-00", {"x": 1})
+    records = random_fleet_records(7, 1, END_TIME)
+    dataset = dataset_from_records(records, END_TIME)
+    acc = CampaignAccumulator.from_dataset(dataset)
+    phone_id, log = next(iter(dataset.logs.items()))
     with pytest.raises(AnalysisError, match="double-count"):
-        acc.add_phone("phone-00", {"x": 2})
+        acc.add_phone(phone_id, log)

@@ -1,33 +1,17 @@
-"""Tests for client/server IPC."""
+"""Tests for client/server request completion."""
 
 import pytest
 
 from repro.symbian.active import TRequestStatus
-from repro.symbian.errors import (
-    KERR_NONE,
-    KERR_NOT_SUPPORTED,
-    KERR_SERVER_TERMINATED,
-    PanicRequest,
-)
-from repro.symbian.ipc import RMessage, RMessagePtr, RSessionBase, Server
+from repro.symbian.errors import KERR_NONE, PanicRequest
+from repro.symbian.ipc import RMessagePtr
 from repro.symbian.panics import USER_70
 
 
-class TestRMessage:
-    def test_complete_sets_status(self):
-        status = TRequestStatus()
-        status.mark_pending()
-        message = RMessage(1, (), status)
-        message.complete(KERR_NONE)
-        assert message.completed
-        assert status.completed
-
-    def test_double_complete_panics_user70(self):
-        message = RMessage(1, ())
-        message.complete(0)
-        with pytest.raises(PanicRequest) as exc:
-            message.complete(0)
-        assert exc.value.panic_id == USER_70
+def pending_status() -> TRequestStatus:
+    status = TRequestStatus()
+    status.mark_pending()
+    return status
 
 
 class TestRMessagePtr:
@@ -40,83 +24,19 @@ class TestRMessagePtr:
         assert exc.value.panic_id == USER_70
 
     def test_complete_clears_pointer(self):
-        message = RMessage(1, ())
-        ptr = RMessagePtr(message)
-        ptr.complete(0)
+        status = pending_status()
+        ptr = RMessagePtr(status)
+        ptr.complete(KERR_NONE)
         assert ptr.is_null
-        assert message.completed
+        assert status.completed
 
     def test_second_complete_after_clear_panics(self):
-        ptr = RMessagePtr(RMessage(1, ()))
+        ptr = RMessagePtr(pending_status())
         ptr.complete(0)
         with pytest.raises(PanicRequest):
             ptr.complete(0)
 
     def test_set(self):
         ptr = RMessagePtr()
-        ptr.set(RMessage(2, ()))
+        ptr.set(pending_status())
         assert not ptr.is_null
-
-
-class TestServer:
-    def test_handler_dispatch(self):
-        server = Server("test")
-        got = []
-        server.handler(7, lambda m: got.append(m.args))
-        session = RSessionBase(server)
-        session.send_receive(7, "a", "b")
-        assert got == [("a", "b")]
-
-    def test_auto_completion_with_kerr_none(self):
-        server = Server("test")
-        server.handler(1, lambda m: None)
-        message = RSessionBase(server).send_receive(1)
-        assert message.completed
-
-    def test_handler_controlled_completion(self):
-        server = Server("test")
-        server.handler(1, lambda m: m.complete(-6))
-        status = TRequestStatus()
-        RSessionBase(server).send_receive(1, status=status)
-        assert status.value == -6
-
-    def test_unknown_function_not_supported(self):
-        server = Server("test")
-        status = TRequestStatus()
-        RSessionBase(server).send_receive(99, status=status)
-        assert status.value == KERR_NOT_SUPPORTED
-
-    def test_manual_pumping(self):
-        server = Server("test", auto_serve=False)
-        served = []
-        server.handler(1, lambda m: served.append(1))
-        session = RSessionBase(server)
-        session.send_receive(1)
-        session.send_receive(1)
-        assert server.queue_length == 2
-        assert server.serve_next()
-        assert server.serve_next()
-        assert not server.serve_next()
-        assert served == [1, 1]
-
-    def test_terminate_fails_queued_and_future(self):
-        server = Server("test", auto_serve=False)
-        server.handler(1, lambda m: None)
-        session = RSessionBase(server)
-        queued = session.send_receive(1)
-        server.terminate()
-        assert queued.completed
-        late_status = TRequestStatus()
-        session.send_receive(1, status=late_status)
-        assert late_status.value == KERR_SERVER_TERMINATED
-
-    def test_served_counter(self):
-        server = Server("test")
-        server.handler(1, lambda m: None)
-        session = RSessionBase(server)
-        session.send_receive(1)
-        session.send_receive(1)
-        assert server.served == 2
-
-    def test_repr(self):
-        assert "alive" in repr(Server("x"))

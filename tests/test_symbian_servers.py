@@ -67,16 +67,6 @@ class TestAppArch:
         assert server.is_running("A")
         assert not server.is_running("B")
 
-    def test_ipc_app_list(self):
-        from repro.symbian.ipc import RSessionBase
-        from repro.symbian.servers.apparch import FN_APP_LIST
-
-        server = AppArchServer()
-        server.app_started("Log")
-        buffer: list = []
-        RSessionBase(server).send_receive(FN_APP_LIST, buffer)
-        assert buffer == ["Log"]
-
 
 class TestLogDatabase:
     def test_add_and_recent(self):
