@@ -1,7 +1,7 @@
 """Monitor smoke — kill -9 a live mega-fleet, then observe and resume.
 
 The live telemetry plane is durable by construction: every worker
-appends delta snapshots to its own op-log file with a single
+appends cumulative heartbeats to its own op-log file with a single
 ``O_APPEND`` write, so a crash leaves at worst one torn tail line that
 the reader skips.  This gate proves the whole post-mortem story:
 

@@ -1,9 +1,8 @@
 """Perf smoke — the campaign pipeline must stay fast.
 
 Measures ``run_campaign`` at paper scale (25 phones x 14 months) with
-the perf harness, writes the fresh measurement to
-``BENCH_campaign.json`` (the CI perf-smoke job uploads it as an
-artifact), and fails on regression against the committed baseline.
+the perf harness, writes the fresh measurement to a file, and fails on
+regression against the committed baseline ``BENCH_campaign.json``.
 When the baseline records ``cpu_seconds`` the gate compares CPU time
 (``time.process_time``) at
 :data:`repro.experiments.perf.DEFAULT_CPU_REGRESSION_THRESHOLD`; CPU
@@ -12,9 +11,12 @@ threshold is tighter than the historical wall-clock gate
 (:data:`repro.experiments.perf.DEFAULT_REGRESSION_THRESHOLD`), which
 remains the fallback for old baselines.
 
-The output path can be redirected with ``BENCH_CAMPAIGN_OUT``; the
-committed baseline is read *before* the file is rewritten, so running
-this locally compares against the repository's reference numbers.
+The measurement goes to pytest's ``tmp_path`` unless
+``BENCH_CAMPAIGN_OUT`` names a file (the CI perf-smoke job sets it and
+uploads the file as an artifact), so a local run leaves the committed
+baseline untouched.  Pointing ``BENCH_CAMPAIGN_OUT`` at
+``BENCH_campaign.json`` refreshes the baseline: it is read *before*
+the file is rewritten, and sibling sections are kept.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 COMMITTED_BASELINE = REPO_ROOT / "BENCH_campaign.json"
 
 
-def test_perf_smoke_campaign():
+def test_perf_smoke_campaign(tmp_path):
     baseline = load_baseline(str(COMMITTED_BASELINE))
 
     result = measure_campaign(
@@ -44,7 +46,9 @@ def test_perf_smoke_campaign():
     print()
     print(result.render())
 
-    out_path = os.environ.get("BENCH_CAMPAIGN_OUT", "BENCH_campaign.json")
+    out_path = os.environ.get(
+        "BENCH_CAMPAIGN_OUT", str(tmp_path / "BENCH_campaign.json")
+    )
     # Merge-preserving write: other gates (bench_live_overhead) own
     # sibling sections of the same snapshot file.
     merged = {}

@@ -13,9 +13,10 @@ Two checks, mirroring the two halves of the shard contract:
   (measured: ~864 MiB monolithic vs ~160 MiB per shard worker for the
   same fleet).
 
-Writes the fresh measurement to ``BENCH_megafleet.json`` (the CI
-shard-smoke job uploads it as an artifact); redirect with
-``BENCH_MEGAFLEET_OUT``.
+Writes the fresh measurement to pytest's ``tmp_path``, so a local run
+leaves the committed ``BENCH_megafleet.json`` alone; set
+``BENCH_MEGAFLEET_OUT`` to keep it (the CI shard-smoke job does, and
+uploads the file as an artifact).
 """
 
 from __future__ import annotations
@@ -64,9 +65,13 @@ def test_shard_differential_smoke():
     )
 
 
-def test_megafleet_peak_rss_bounded():
+def test_megafleet_peak_rss_bounded(tmp_path):
     """A sharded 10k-phone run stays under the fixed memory budget."""
-    out_path = os.environ.get("BENCH_MEGAFLEET_OUT", "BENCH_megafleet.json")
+    out_path = os.path.abspath(
+        os.environ.get(
+            "BENCH_MEGAFLEET_OUT", str(tmp_path / "BENCH_megafleet.json")
+        )
+    )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     subprocess.run(

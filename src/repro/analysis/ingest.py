@@ -292,29 +292,16 @@ class Dataset:
                 EnrollRecord: set_enroll,
             }
 
-            def resolve_sink(record_type, sinks=sinks, phone_id=phone_id):
-                # Exact-type dispatch missed: the record is a subclass
-                # of one of the stream types.  Resolve it explicitly by
-                # walking the MRO to the nearest registered base and
-                # cache the resolution so each subclass pays once.
-                for base in record_type.__mro__[1:]:
-                    sink = sinks.get(base)
-                    if sink is not None:
-                        sinks[record_type] = sink
-                        return sink
-                raise AnalysisError(
-                    f"phone {phone_id!r}: unknown record type "
-                    f"{record_type.__name__!r} (not a subclass of any "
-                    "ingestible record)"
-                )
-
             get_sink = sinks.get
             for record in records_by_phone[phone_id]:
                 if track_latest and record.time > latest:
                     latest = record.time
                 sink = get_sink(type(record))
                 if sink is None:
-                    sink = resolve_sink(type(record))
+                    raise AnalysisError(
+                        f"phone {phone_id!r}: unknown record type "
+                        f"{type(record).__name__!r}"
+                    )
                 sink(record)
             if log.record_count:
                 logs[phone_id] = log

@@ -848,7 +848,7 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
         "quarantined_lines": result.ingest.quarantined,
         "headline": {
             key: _json_finite(value)
-            for key, value in headline_figures(summary).items()
+            for key, value in headline_figures(summary.sections).items()
         },
     }
     verified: Optional[bool] = None

@@ -84,9 +84,11 @@ from repro.phone.fleet import GROUND_TRUTH_KEYS, accumulate_ground_truth
 
 #: Version stamp of the shard-result wire format (committed files).
 #: v2 added ``events_fired`` and hardened the loader.
-#: v3 added the live op-log linkage (``stream``/``delta_seq``) so a
-#: committed shard's heartbeat deltas fold exactly once across kill-9
-#: resume (see :mod:`repro.observability.live`).
+#: v3 added a live op-log linkage (the heartbeat stream id and its
+#: final seq).  Heartbeats now carry cumulative state, so the live fold
+#: no longer needs it (see :mod:`repro.observability.live`); the loader
+#: ignores those two keys, so files written with them still load and
+#: the stamp stays 3.
 SHARD_FORMAT_VERSION = 3
 
 _SHARD_KEYS = ("phone_range", "config", "accumulator", "ground_truth", "ingest")
@@ -204,15 +206,6 @@ class ShardResult:
     telemetry: Dict[str, Any] = field(default_factory=dict)
     #: Simulator events the shard fired (aggregate throughput input).
     events_fired: int = 0
-    #: Live op-log stream id of the attempt that produced this result
-    #: ("" when live telemetry was off).  Carried on the wire so a live
-    #: fold can subsume the stream's cumulative heartbeat deltas by
-    #: this durable snapshot — exactly once, even when a kill -9 resume
-    #: leaves multiple attempts' streams in the op-log.
-    stream: str = ""
-    #: Final heartbeat seq flushed before commit (deltas with seq <=
-    #: this are subsumed by the committed telemetry snapshot).
-    delta_seq: int = 0
     format_version: int = SHARD_FORMAT_VERSION
 
     @property
@@ -230,8 +223,6 @@ class ShardResult:
             "ingest": self.ingest.to_dict(),
             "telemetry": self.telemetry,
             "events_fired": self.events_fired,
-            "stream": self.stream,
-            "delta_seq": self.delta_seq,
         }
 
     @classmethod
@@ -301,16 +292,6 @@ class ShardResult:
         telemetry = data.get("telemetry", {})
         if not isinstance(telemetry, dict):
             raise ValueError("shard telemetry is not an object")
-        stream = data.get("stream", "")
-        if not isinstance(stream, str):
-            raise ValueError(f"malformed stream id {stream!r}")
-        delta_seq = data.get("delta_seq", 0)
-        if (
-            not isinstance(delta_seq, int)
-            or isinstance(delta_seq, bool)
-            or delta_seq < 0
-        ):
-            raise ValueError(f"malformed delta_seq {delta_seq!r}")
         try:
             ingest = IngestReport.from_dict(data["ingest"])
         except Exception as exc:
@@ -323,8 +304,6 @@ class ShardResult:
             ingest=ingest,
             telemetry=dict(telemetry),
             events_fired=events,
-            stream=stream,
-            delta_seq=delta_seq,
         )
 
 
@@ -394,14 +373,12 @@ class ShardTask:
 
                 install_live_writer(previous_writer)
         if writer is not None:
-            result.stream = writer.stream_id or ""
             writer.end_stream(
                 phone_range=list(result.phone_range),
                 sim_now=config.fleet.duration,
                 duration=config.fleet.duration,
                 events_fired=result.events_fired,
             )
-            result.delta_seq = writer.seq
         return result
 
     def _run(

@@ -159,20 +159,24 @@ HEADLINE_KEYS = (
 )
 
 
-def headline_figures(summary: CampaignSummary) -> Dict[str, float]:
+def headline_figures(sections: Dict[str, Dict[str, Any]]) -> Dict[str, float]:
     """The study's headline figures as one flat ``HEADLINE_KEYS`` dict.
 
-    This is the quantity the fault-injection harness watches: how far
-    these numbers drift under injected collection faults is the
-    measure of graceful (or catastrophic) degradation.
+    ``sections`` maps report section names to their ``to_dict()`` (a
+    summary's :attr:`CampaignSummary.sections`, or a streaming
+    accumulator's ``sections()`` mid-run).  This is the quantity the
+    fault-injection harness watches — how far these numbers drift under
+    injected collection faults is the measure of graceful (or
+    catastrophic) degradation — and the live fold's rolling KPIs.
     """
-    availability = summary.availability
+    availability = sections["availability"]
+    panics = sections["panics"]
     return {
         "mtbf_freeze_hours": availability["mtbf_freeze_hours"],
         "mtbf_self_shutdown_hours": availability["mtbf_self_shutdown_hours"],
         "failure_interval_days": availability["failure_interval_days"],
-        "access_violation_percent": summary.panics["access_violation_percent"],
-        "heap_management_percent": summary.panics["heap_management_percent"],
-        "hl_related_percent": summary.hl["related_percent"],
-        "cascade_panic_percent": summary.bursts["cascade_panic_percent"],
+        "access_violation_percent": panics["access_violation_percent"],
+        "heap_management_percent": panics["heap_management_percent"],
+        "hl_related_percent": sections["hl"]["related_percent"],
+        "cascade_panic_percent": sections["bursts"]["cascade_panic_percent"],
     }

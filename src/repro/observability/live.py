@@ -7,22 +7,25 @@ to be a black box until its final merge.  This module makes a running
 
 * **Op-log.**  Every worker appends heartbeat records — shard range,
   sim-time horizon, events fired, device failure tallies, peak RSS,
-  plus a delta telemetry snapshot — to its own append-only JSONL file
-  under ``<run-dir>/live/``.  A record is one complete line written
-  with a single ``os.write`` on an ``O_APPEND`` descriptor, the
-  streaming analogue of the shard commit's tmp+rename: a reader
-  sees a whole record or nothing, and a torn tail from a kill -9 is
-  skipped, never misread.
+  plus the shard's whole telemetry registry when metrics are on — to
+  its own append-only JSONL file under ``<run-dir>/live/``.  A record
+  is one complete line written with a single ``os.write`` on an
+  ``O_APPEND`` descriptor, the streaming analogue of the shard
+  commit's tmp+rename: a reader sees a whole record or nothing, and a
+  torn tail from a kill -9 is skipped, never misread.
 
-* **Exactly-once fold.**  Records carry a *stream id* (unique per
-  shard attempt) and a monotonically increasing *seq*.  Scalar fields
-  are cumulative, so the latest record per stream is the truth;
-  telemetry deltas are folded at most once per ``(stream, seq)``.  A
-  committed :class:`~repro.experiments.shard.ShardResult` carries its
-  stream id and final seq (wire v3), so a fold never double-counts a
-  shard that was both heartbeating and committed — including across a
-  kill -9 resume, where a re-adopted range may have op-log streams
-  from several attempts.
+* **One fold rule: cumulative, latest record wins.**  Records carry a
+  *stream id* (unique per shard attempt) and a monotonically
+  increasing *seq*, and every field of a record is cumulative, so the
+  max-seq record of a stream is its whole truth — as the logger's
+  Heartbeat overwrites one beats file and the analysis reads only the
+  last beat.  A lost, torn, replayed or duplicated record therefore
+  changes nothing.  A stream whose declared phone range lies inside a
+  committed shard's range is represented by that durable
+  :class:`~repro.experiments.shard.ShardResult` alone, so a fold never
+  double-counts a shard that was both heartbeating and committed —
+  including across a kill -9 resume, where a re-adopted range may have
+  op-log streams from several attempts.
 
 * **Rolling KPIs.**  :class:`LiveFolder` tails the op-log, folds
   committed shards through the order-independent streaming
@@ -142,7 +145,6 @@ class OpLogWriter:
         self.stream_id: Optional[str] = None
         self.seq = 0
         self._registry: Optional[MetricsRegistry] = None
-        self._metrics_base: Dict[str, Any] = {}
 
     # -- low-level ---------------------------------------------------------------
 
@@ -177,7 +179,6 @@ class OpLogWriter:
         self.stream_id = f"{start}-{stop}@{self._uid}.{self._streams}"
         self.seq = 0
         self._registry = registry
-        self._metrics_base = registry.to_dict() if registry is not None else {}
         self._last_flush = None
         self.record(
             "start",
@@ -188,20 +189,22 @@ class OpLogWriter:
         )
         return self.stream_id
 
-    def _metrics_delta(self) -> Optional[Dict[str, Any]]:
-        if self._registry is None:
-            return None
-        delta = self._registry.delta_dict(self._metrics_base)
-        self._metrics_base = self._registry.to_dict()
-        return delta or None
+    def _emit(self, kind: str, payload: Dict[str, Any]) -> None:
+        """Write the stream's next cumulative record."""
+        self.seq += 1
+        if self._registry:  # None, or no metric registered yet
+            payload["metrics"] = self._registry.to_dict()
+        payload["rss_kb"] = _peak_rss_kb()
+        self.record(kind, stream=self.stream_id, seq=self.seq, **payload)
 
     def heartbeat(self, throttled: bool = True, **payload: Any) -> bool:
         """Flush one cumulative heartbeat on the active stream.
 
         Returns whether a record was written (wall-clock throttling may
-        swallow the call).  All payload fields must be cumulative: the
-        fold takes the max-seq record per stream, so a replayed or
-        duplicated record is idempotent.
+        swallow the call).  All payload fields must be cumulative — the
+        stream's registry rides along whole as ``metrics`` — because the
+        fold keeps only the max-seq record per stream, so a lost,
+        replayed or duplicated record changes nothing.
         """
         if self.stream_id is None:
             return False
@@ -209,12 +212,7 @@ class OpLogWriter:
         if throttled and not _due(self._last_flush, now, self.min_interval):
             return False
         self._last_flush = now
-        self.seq += 1
-        delta = self._metrics_delta()
-        if delta is not None:
-            payload["metrics_delta"] = delta
-        payload["rss_kb"] = _peak_rss_kb()
-        self.record("heartbeat", stream=self.stream_id, seq=self.seq, **payload)
+        self._emit("heartbeat", payload)
         return True
 
     def heartbeat_from_fleet(self, fleet: Any) -> bool:
@@ -254,15 +252,9 @@ class OpLogWriter:
         """Close the active stream with a final cumulative record."""
         if self.stream_id is None:
             return
-        self.seq += 1
-        delta = self._metrics_delta()
-        if delta is not None:
-            payload["metrics_delta"] = delta
-        payload["rss_kb"] = _peak_rss_kb()
-        self.record("end", stream=self.stream_id, seq=self.seq, **payload)
+        self._emit("end", payload)
         self.stream_id = None
         self._registry = None
-        self._metrics_base = {}
 
     # -- campaign / coordinator records ------------------------------------------
 
@@ -406,7 +398,7 @@ class LiveSnapshot:
     quarantined_lines: int = 0
     ingested_records: int = 0
     workers: List[WorkerRow] = field(default_factory=list)
-    #: Exactly-once folded telemetry (committed snapshots + live deltas).
+    #: Folded telemetry: committed snapshots + in-flight streams' latest.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Fleet events/s samples over time, for the trend sparkline.
     trend: List[float] = field(default_factory=list)
@@ -420,17 +412,17 @@ class LiveSnapshot:
 
 
 class _StreamState:
-    """Fold state for one op-log stream."""
+    """Fold state for one op-log stream: its latest record wins."""
 
-    __slots__ = ("latest", "max_seq", "samples", "metrics", "role", "first_wall")
+    __slots__ = ("latest", "max_seq", "samples", "span", "role", "first_wall")
 
     def __init__(self) -> None:
         self.latest: Dict[str, Any] = {}
         self.max_seq = -1
         #: (wall, events_fired) samples for windowed throughput.
         self.samples: List[Tuple[float, float]] = []
-        #: Telemetry deltas folded at most once per (stream, seq).
-        self.metrics = MetricsRegistry()
+        #: The phone range the stream declared (its start record's).
+        self.span: Optional[Tuple[int, int]] = None
         self.role = "worker"
         #: Wall time of the stream's first record (when it began).
         self.first_wall: Optional[float] = None
@@ -439,14 +431,14 @@ class _StreamState:
         seq = record.get("seq")
         if not isinstance(seq, int):
             return
-        delta = record.get("metrics_delta")
-        if isinstance(delta, dict) and seq > self.max_seq:
-            # Seqs within one stream arrive in file order; a replayed
-            # or duplicated record never folds twice.
-            try:
-                self.metrics.merge(MetricsRegistry.from_dict(delta))
-            except (ValueError, KeyError, TypeError):
-                pass
+        phone_range = record.get("phone_range")
+        if (
+            self.span is None
+            and isinstance(phone_range, list)
+            and len(phone_range) == 2
+            and all(isinstance(edge, int) for edge in phone_range)
+        ):
+            self.span = (phone_range[0], phone_range[1])
         if seq > self.max_seq:
             self.max_seq = seq
             self.latest = record
@@ -459,6 +451,21 @@ class _StreamState:
             self.samples.append((float(wall), float(events)))
             if len(self.samples) > 512:
                 del self.samples[:256]
+
+
+def _valid_metrics(metrics: Any) -> bool:
+    """Whether an op-log ``metrics`` field parses as a registry dump.
+
+    The op-log is untrusted disk input: a malformed field is skipped,
+    never fatal to the fold.
+    """
+    if not isinstance(metrics, dict):
+        return False
+    try:
+        MetricsRegistry.from_dict(metrics)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return False
+    return True
 
 
 def _windowed_rate(
@@ -496,10 +503,9 @@ class LiveFolder:
 
     Incremental: op-log files are read from their last offset, and each
     committed shard file is loaded and folded into the streaming
-    accumulator exactly once.  Folding is exactly-once under resume —
-    a range is adopted at most once, and a committed shard's op-log
-    stream is excluded from the live-delta merge via its wire-carried
-    stream id.
+    accumulator exactly once.  A range is adopted at most once, even
+    under resume, and an op-log stream whose declared range lies inside
+    an adopted range is represented by that durable commit alone.
     """
 
     def __init__(self, run_dir: str, window: float = 60.0) -> None:
@@ -524,7 +530,6 @@ class LiveFolder:
         self._ingest = None  # merged IngestReport
         self._committed_ranges: List[Tuple[int, int]] = []
         self._committed_events = 0
-        self._committed_streams: set = set()
         self._committed_metrics: List[Dict[str, Any]] = []
 
     # -- op-log ------------------------------------------------------------------
@@ -596,8 +601,6 @@ class LiveFolder:
             result = fresh[shard.path]
             self._committed_ranges.append(result.phone_range)
             self._committed_events += result.events_fired
-            if result.stream:
-                self._committed_streams.add(result.stream)
             if result.telemetry:
                 self._committed_metrics.append(
                     result.telemetry.get("metrics", {})
@@ -617,22 +620,9 @@ class LiveFolder:
     def _headline(self) -> Dict[str, float]:
         if self._accumulator is None or self._accumulator.phone_count == 0:
             return {}
-        sections = self._accumulator.sections()
-        availability = sections["availability"]
-        panics = sections["panics"]
-        return {
-            "mtbf_freeze_hours": availability["mtbf_freeze_hours"],
-            "mtbf_self_shutdown_hours": availability[
-                "mtbf_self_shutdown_hours"
-            ],
-            "failure_interval_days": availability["failure_interval_days"],
-            "access_violation_percent": panics["access_violation_percent"],
-            "heap_management_percent": panics["heap_management_percent"],
-            "hl_related_percent": sections["hl"]["related_percent"],
-            "cascade_panic_percent": sections["bursts"][
-                "cascade_panic_percent"
-            ],
-        }
+        from repro.experiments.summary import headline_figures
+
+        return headline_figures(self._accumulator.sections())
 
     def fold(self, now: Optional[float] = None) -> LiveSnapshot:
         """One pass: tail the op-log, adopt new commits, compute KPIs."""
@@ -677,20 +667,10 @@ class LiveFolder:
                 and state.first_wall < began
             ):
                 continue  # an earlier run's stream
-            phone_range = state.latest.get("phone_range")
-            span: Optional[Tuple[int, int]] = None
-            if (
-                isinstance(phone_range, list)
-                and len(phone_range) == 2
-                and all(isinstance(edge, int) for edge in phone_range)
-            ):
-                span = (phone_range[0], phone_range[1])
-            committed = stream_id in self._committed_streams or (
-                span is not None
-                and any(
-                    span[0] >= start and span[1] <= stop
-                    for start, stop in committed_phone_set
-                )
+            span = state.span
+            committed = span is not None and any(
+                span[0] >= start and span[1] <= stop
+                for start, stop in committed_phone_set
             )
             done = committed or state.latest.get("kind") == "end"
             row = WorkerRow(
@@ -714,8 +694,9 @@ class LiveFolder:
                 if span is not None:
                     equivalent += (span[1] - span[0]) * row.progress
                 rate += row.events_per_second
-                if state.metrics:
-                    live_metrics.append(state.metrics.to_dict())
+                metrics = state.latest.get("metrics")
+                if _valid_metrics(metrics):
+                    live_metrics.append(metrics)
             snapshot.workers.append(row)
         snapshot.workers = [row for row in snapshot.workers if not row.done] + [
             row for row in snapshot.workers if row.done
@@ -819,7 +800,8 @@ class LiveCoordinator:
 
 # -- prometheus exposition ------------------------------------------------------
 
-#: Coordinator heartbeat fields exported as executor gauges.
+#: Coordinator heartbeat fields exported as executor gauges (and shown,
+#: in this order, on the dashboard's executor line).
 _COORDINATOR_GAUGES = (
     "steals",
     "task_retries",
@@ -962,15 +944,7 @@ def render_dashboard(snapshot: LiveSnapshot, width: int = 78) -> str:
             "executor   "
             + " · ".join(
                 f"{key} {coordinator[key]}"
-                for key in (
-                    "steals",
-                    "task_retries",
-                    "worker_restarts",
-                    "watchdog_fires",
-                    "resumed_shards",
-                    "inflight",
-                    "pending",
-                )
+                for key in _COORDINATOR_GAUGES
                 if key in coordinator
             )
         )

@@ -316,74 +316,6 @@ class MetricsRegistry:
         full = self.to_dict()
         return {name: entry for name, entry in full.items() if entry["deterministic"]}
 
-    def delta_dict(self, baseline: Dict[str, Any]) -> Dict[str, Any]:
-        """Current state minus a previous :meth:`to_dict` snapshot.
-
-        The flushable unit of the live op-log: counters and gauges
-        subtract values, histograms subtract buckets/count/total
-        (min/max report the current extrema — folds take extrema, so a
-        re-fold can only widen, never misstate, the range).  Unchanged
-        series and empty metrics are dropped entirely, so an idle flush
-        interval serializes to ``{}``.  Summing a stream of deltas in
-        seq order through :meth:`merge` reconstructs the cumulative
-        registry, which is what makes delta flushing + exactly-once
-        folding equivalent to shipping the full snapshot once.
-        """
-        current = self.to_dict()
-        out: Dict[str, Any] = {}
-        for name, entry in current.items():
-            base_entry = baseline.get(name)
-            base_series: Dict[str, Dict[str, Any]] = {}
-            if (
-                isinstance(base_entry, dict)
-                and base_entry.get("kind") == entry["kind"]
-            ):
-                for row in base_entry.get("series", []):
-                    key = json.dumps(row.get("labels", {}), sort_keys=True)
-                    base_series[key] = row
-            kept = []
-            for row in entry["series"]:
-                key = json.dumps(row["labels"], sort_keys=True)
-                prev = base_series.get(key)
-                if entry["kind"] == "histogram":
-                    if prev is not None:
-                        buckets = [
-                            now_b - prev_b
-                            for now_b, prev_b in zip(
-                                row["buckets"], prev["buckets"]
-                            )
-                        ]
-                        count = row["count"] - prev["count"]
-                        total = row["total"] - prev["total"]
-                    else:
-                        buckets = list(row["buckets"])
-                        count = row["count"]
-                        total = row["total"]
-                    if count == 0 and not any(buckets):
-                        continue
-                    kept.append(
-                        {
-                            "labels": row["labels"],
-                            "buckets": buckets,
-                            "count": count,
-                            "total": total,
-                            "min": row["min"],
-                            "max": row["max"],
-                        }
-                    )
-                else:
-                    value = row["value"] - (
-                        prev["value"] if prev is not None else 0.0
-                    )
-                    if value == 0.0:
-                        continue
-                    kept.append({"labels": row["labels"], "value": value})
-            if kept:
-                delta_entry = dict(entry)
-                delta_entry["series"] = kept
-                out[name] = delta_entry
-        return out
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MetricsRegistry":
         registry = cls()

@@ -21,7 +21,6 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.report import build_report
 from repro.core.errors import ReproError
 from repro.core.rand import Stream, derive_seed
 from repro.experiments.cache import CampaignCache
@@ -279,7 +278,7 @@ def run_degradation_experiment(
     """
     base_plan = base_plan if base_plan is not None else FaultPlan.mild()
     clean = run_faulty_campaign(config, plan=None)
-    clean_figures = headline_figures(clean.summary)
+    clean_figures = headline_figures(clean.summary.sections)
     report = RobustnessReport(
         config=config.to_dict(),
         base_plan=base_plan.to_dict(),
@@ -306,7 +305,7 @@ def run_degradation_experiment(
         except ReproError as exc:
             point.error = f"{type(exc).__name__}: {exc}"
         else:
-            figures = headline_figures(outcome.summary)
+            figures = headline_figures(outcome.summary.sections)
             point.figures = figures
             point.drift = {
                 key: drift_percent(clean_figures[key], figures[key])

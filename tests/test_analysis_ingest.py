@@ -129,22 +129,7 @@ class TestIngestion:
 
 
 class TestStructuredDispatch:
-    """The structured door's exact-type dispatch and its subclass path."""
-
-    def test_subclass_records_route_to_base_stream(self):
-        class TracedPanic(PanicRecord):
-            """A PanicRecord subclass (e.g. one carrying debug extras)."""
-
-        records = [
-            BootRecord(0.0, "NONE", 0.0),
-            PanicRecord(5.0, "USER", 11, "X"),
-            TracedPanic(7.0, "KERN-EXEC", 3, "Y"),
-            TracedPanic(9.0, "KERN-EXEC", 3, "Z"),
-        ]
-        dataset = Dataset.from_records({"phone-00": records}, end_time=100.0)
-        log = dataset.logs["phone-00"]
-        assert len(log.panics) == 3
-        assert [p.process for p in log.panics] == ["X", "Y", "Z"]
+    """The structured door's exact-type dispatch."""
 
     def test_unknown_record_type_raises(self):
         class Alien:

@@ -3,9 +3,10 @@
 Three contracts under test:
 
 1. **Durability** — op-log records survive exactly as written: a reader
-   never consumes a torn tail, and replayed/duplicated records fold
-   idempotently (exactly-once per ``(stream, seq)``, including across
-   kill -9 resume where a range has streams from several attempts).
+   never consumes a torn tail, and every record is cumulative, so the
+   fold keeps the latest record per stream and a lost, replayed or
+   duplicated record changes nothing (including across kill -9 resume,
+   where a range has streams from several attempts).
 2. **Purity** — live mode changes nothing: a ``--live`` run's merged
    summary is bit-identical to a non-live run and to the monolithic
    pipeline, resume included (the differential gate).
@@ -194,71 +195,26 @@ class TestOpLog:
         assert current_live_writer() is None
 
 
-# -- registry delta snapshots ---------------------------------------------------
-
-
-class TestDeltaDict:
-    def test_counter_gauge_histogram_deltas(self):
-        registry = MetricsRegistry()
-        registry.counter("events").inc(5.0)
-        registry.gauge("depth").set(3.0)
-        registry.histogram("lat", bounds=(1.0, 10.0)).observe(0.5)
-        base = registry.to_dict()
-
-        registry.counter("events").inc(2.0)
-        registry.gauge("depth").set(9.0)
-        registry.histogram("lat", bounds=(1.0, 10.0)).observe(5.0)
-        delta = registry.delta_dict(base)
-
-        assert delta["events"]["series"][0]["value"] == 2.0
-        assert delta["depth"]["series"][0]["value"] == 6.0
-        lat = delta["lat"]["series"][0]
-        assert lat["count"] == 1
-        assert lat["buckets"] == [0, 1, 0]
-
-    def test_unchanged_series_dropped(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(1.0)
-        registry.counter("b").inc(1.0)
-        base = registry.to_dict()
-        registry.counter("a").inc(1.0)
-        delta = registry.delta_dict(base)
-        assert "a" in delta and "b" not in delta
-
-    def test_summed_deltas_reconstruct_cumulative(self):
-        """base + sum(deltas) == final — the fold's core identity."""
-        registry = MetricsRegistry()
-        snapshots = []
-        base = registry.to_dict()
-        for round_number in range(1, 4):
-            registry.counter("events").inc(float(round_number))
-            registry.histogram("lat", bounds=(1.0,)).observe(round_number)
-            snapshots.append(registry.delta_dict(base))
-            base = registry.to_dict()
-        folded = merge_registries(snapshots)
-        assert folded.to_dict() == registry.to_dict()
-
-
-# -- exactly-once fold ----------------------------------------------------------
+# -- the fold: cumulative records, latest wins ----------------------------------
 
 
 def _write_stream(
     live_dir: str,
     phone_range,
-    deltas,
+    increments,
     role: str = "worker",
 ) -> str:
-    """One op-log stream whose heartbeats carry counter deltas."""
+    """One op-log stream whose heartbeats carry its growing registry."""
     registry = MetricsRegistry()
     writer = OpLogWriter(live_dir, role=role, min_interval=0.0)
     writer.begin_stream(phone_range, 100.0, registry=registry)
-    for delta in deltas:
-        registry.counter("events").inc(delta)
+    for increment in increments:
+        registry.counter("events").inc(increment)
         writer.heartbeat(
             phone_range=list(phone_range),
             sim_now=50.0,
             duration=100.0,
-            events_fired=int(sum(deltas)),
+            events_fired=int(sum(increments)),
         )
     stream = writer.stream_id
     writer.end_stream(phone_range=list(phone_range))
@@ -296,6 +252,36 @@ class TestExactlyOnceFold:
         snapshot = LiveFolder(str(tmp_path)).fold()
         assert snapshot.metrics.counter_totals().get("events") == 7.0
 
+    def test_unparseable_middle_heartbeat_loses_nothing(self, tmp_path):
+        """A garbled heartbeat mid-stream costs nothing: the records
+        after it carry the whole registry."""
+        live = live_dir_for(str(tmp_path))
+        _write_stream(live, (0, 10), [3.0, 4.0, 5.0])
+        path = os.path.join(live, sorted(os.listdir(live))[0])
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        assert [json.loads(line)["kind"] for line in lines] == [
+            "start", "heartbeat", "heartbeat", "heartbeat", "end"
+        ]
+        lines[2] = b'{"v": 1, "kind": "heartbeat", garbled\n'
+        with open(path, "wb") as handle:
+            handle.write(b"".join(lines))
+        snapshot = LiveFolder(str(tmp_path)).fold()
+        assert snapshot.metrics.counter_totals().get("events") == 12.0
+
+    @pytest.mark.parametrize(
+        "metrics", [{"events": []}, {"events": {"kind": "bogus"}}, [1]]
+    )
+    def test_malformed_metrics_field_is_skipped(self, tmp_path, metrics):
+        live = live_dir_for(str(tmp_path))
+        _write_stream(live, (0, 10), [3.0])
+        writer = OpLogWriter(live, min_interval=0.0)
+        writer.begin_stream((10, 20), 100.0)
+        writer.heartbeat(phone_range=[10, 20], metrics=metrics)
+        writer.close()
+        snapshot = LiveFolder(str(tmp_path)).fold()
+        assert snapshot.metrics.counter_totals() == {"events": 3.0}
+
     @settings(max_examples=20, deadline=None)
     @given(
         splits=st.lists(
@@ -322,15 +308,17 @@ class TestExactlyOnceFold:
         snapshot = LiveFolder(str(tmp_path)).fold()
         total = snapshot.metrics.counter_totals().get("events", 0.0)
         # Streams for the same uncommitted range all stay live (none is
-        # committed), so the fold sees every attempt — but each at most
-        # once: the total is exactly attempts * sum(splits), not more.
+        # committed), so the fold sees every attempt — but only each
+        # one's latest record: the total is exactly attempts *
+        # sum(splits), not more.
         assert total == pytest.approx(attempts * sum(splits))
         # Once ANY attempt commits the range, live streams for it are
         # excluded wholesale and only the committed snapshot counts.
 
     def test_committed_stream_subsumes_live_deltas(self, tmp_path, config):
         """After a shard commits, its op-log stream must not double into
-        the fold: the committed telemetry snapshot is the truth."""
+        the fold: the committed telemetry snapshot is the truth, and a
+        stream counts as committed by the range its start declares."""
         run_sharded_campaign(
             config,
             shards=2,
@@ -343,8 +331,9 @@ class TestExactlyOnceFold:
         folder = LiveFolder(str(tmp_path))
         snapshot = folder.fold()
         assert snapshot.committed_phones == config.fleet.phone_count
-        # Every stream is committed; none contributes live deltas, so
-        # folded metrics equal the merged committed snapshots exactly.
+        # Every stream is committed; none contributes its heartbeats'
+        # registry, so folded metrics equal the merged committed
+        # snapshots exactly.
         committed = merge_registries(folder._committed_metrics)
         assert (
             snapshot.metrics.counter_totals() == committed.counter_totals()
@@ -461,19 +450,6 @@ class TestLiveIsPureObserver:
         # by later folds until a file is replaced.
         assert len(folder._rejected) == 2
         assert folder.fold().committed_ranges == second.shard_ranges
-
-    def test_shard_wire_carries_stream_linkage(self, tmp_path, config):
-        from repro.experiments.shard import load_shard_file
-        run_sharded_campaign(
-            config, shards=2, workers=2, executor="workqueue",
-            spill_dir=str(tmp_path), live=True,
-        )
-        for name in sorted(os.listdir(tmp_path)):
-            if not name.endswith(".json"):
-                continue
-            result = load_shard_file(os.path.join(str(tmp_path), name))
-            assert result.stream  # v3 wire linkage
-            assert result.delta_seq >= 1
 
 
 # -- prometheus exposition ------------------------------------------------------

@@ -125,22 +125,6 @@ class TestMetricsRegistry:
         rotated = merge_registries(dicts[1:] + dicts[:1]).to_dict()
         assert forward == reverse == rotated
 
-    def test_delta_dict_complements_merge(self):
-        """A snapshot plus its delta merges back to the current state —
-        the identity the live op-log's incremental flushes rely on."""
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3.0, k="x")
-        registry.gauge("g").set(2.0)
-        registry.histogram("h", bounds=(1.0,)).observe(0.5)
-        base = registry.to_dict()
-        assert registry.delta_dict(base) == {}  # nothing changed
-        registry.counter("c").inc(4.0, k="x")
-        registry.counter("c").inc(1.0, k="y")
-        registry.gauge("g").set(7.0)
-        registry.histogram("h", bounds=(1.0,)).observe(5.0)
-        delta = registry.delta_dict(base)
-        assert merge_registries([base, delta]).to_dict() == registry.to_dict()
-
 
 # -- tracer ---------------------------------------------------------------------
 

@@ -200,7 +200,7 @@ class TestDegradationExperiment:
         from repro.experiments.summary import CampaignSummary
 
         figures = headline_figures(
-            CampaignSummary.from_result(quick_campaign)
+            CampaignSummary.from_result(quick_campaign).sections
         )
         assert tuple(figures) == HEADLINE_KEYS
         assert all(isinstance(v, float) for v in figures.values())

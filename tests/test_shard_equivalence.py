@@ -77,7 +77,9 @@ def test_sharded_summary_is_bit_identical(shards, config, monolithic):
     assert canonical(result.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )
-    assert headline_figures(result.summary) == headline_figures(monolithic)
+    assert headline_figures(result.summary.sections) == headline_figures(
+        monolithic.sections
+    )
     assert result.shard_count == shards
     starts = [start for start, _stop in result.shard_ranges]
     assert starts == sorted(starts)
@@ -213,6 +215,10 @@ def test_shard_result_wire_format_hardening(config):
         return payload
 
     assert ShardResult.from_dict(pristine).events_fired == result.events_fired
+    # A file written while the wire still carried the op-log linkage
+    # (stream id + final heartbeat seq) loads unchanged.
+    linked = corrupt(stream="4-8@4242.1700000000000.1.1", delta_seq=3)
+    assert ShardResult.from_dict(linked).to_dict() == pristine
 
     with pytest.raises(ValueError, match="not an object"):
         ShardResult.from_dict(["not", "a", "dict"])
