@@ -8,7 +8,7 @@ instrument can produce.
 """
 
 from repro.analysis.ingest import Dataset
-from repro.analysis.panics import compute_panic_table
+from repro.analysis.report import build_report
 from repro.analysis.tables import render_table
 from repro.core.clock import MONTH
 from repro.phone.fleet import Fleet, FleetConfig
@@ -32,8 +32,8 @@ def test_baseline_dexc_comparison(benchmark):
 
     full, dexc = benchmark.pedantic(run_both, rounds=1, iterations=1)
 
-    table_full = compute_panic_table(full)
-    table_dexc = compute_panic_table(dexc)
+    table_full = build_report(full).panic_table
+    table_dexc = build_report(dexc).panic_table
 
     def has_boots(dataset):
         return any(log.boots for log in dataset.logs.values())

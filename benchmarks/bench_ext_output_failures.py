@@ -13,7 +13,7 @@ involvement of users)."  This bench measures the implemented extension:
   defer this feature.
 """
 
-from repro.analysis.output_failures import compute_output_failures
+from repro.analysis.report import build_report
 from repro.analysis.tables import render_table
 from repro.core.clock import MONTH
 from repro.experiments.campaign import run_campaign
@@ -24,7 +24,7 @@ COMPLIANCE_LEVELS = [1.0, 0.5, 0.2, 0.05]
 
 
 def test_ext_output_failure_reports(benchmark, campaign):
-    stats = benchmark(compute_output_failures, campaign.dataset)
+    stats = benchmark(build_report, campaign.dataset).output_failures
 
     truth = campaign.ground_truth
     print()
@@ -67,7 +67,7 @@ def test_ext_compliance_sweep(benchmark):
                 report_compliance_override=compliance,
             )
             result = run_campaign(CampaignConfig(fleet=fleet, seed=77))
-            stats = compute_output_failures(result.dataset)
+            stats = result.report.output_failures
             truth = result.ground_truth
             out.append(
                 (

@@ -6,13 +6,13 @@ that ~25% of panics arrive in cascades of more than one event.
 
 from benchmarks.conftest import emit
 
-from repro.analysis.bursts import compute_bursts
+from repro.analysis.report import build_report
 from repro.experiments import paper
 from repro.experiments.compare import Comparison
 
 
 def test_fig3_bursts(benchmark, campaign):
-    stats = benchmark(compute_bursts, campaign.dataset)
+    stats = benchmark(build_report, campaign.dataset).bursts
 
     print()
     print(campaign.report.render_figure3())

@@ -9,16 +9,14 @@ usually escalate with heap/USER/ViewSrv freeze-symptomatic.
 
 from benchmarks.conftest import emit
 
-from repro.analysis.hl_relationship import compute_hl_relationship
+from repro.analysis.report import build_report
 from repro.experiments import paper
 from repro.experiments.compare import Comparison
 from repro.symbian import panics as P
 
 
 def test_fig5_hl_relationship(benchmark, campaign):
-    hl = benchmark(
-        compute_hl_relationship, campaign.dataset, campaign.report.study
-    )
+    hl = benchmark(build_report, campaign.dataset).hl
 
     print()
     print(campaign.report.render_figure5())

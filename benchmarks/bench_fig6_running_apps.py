@@ -6,15 +6,13 @@ panic time, with the paper's counter-intuitive mode at one.
 
 from benchmarks.conftest import emit
 
-from repro.analysis.runapps import compute_running_apps
+from repro.analysis.report import build_report
 from repro.experiments import paper
 from repro.experiments.compare import Comparison
 
 
 def test_fig6_running_apps(benchmark, campaign):
-    stats = benchmark(
-        compute_running_apps, campaign.dataset, campaign.report.study
-    )
+    stats = benchmark(build_report, campaign.dataset).runapps
 
     print()
     print(campaign.report.render_figure6())

@@ -5,15 +5,13 @@ Regenerates: MTBFr = 313 h, MTBS = 250 h, "a failure every ~11 days".
 
 from benchmarks.conftest import emit
 
-from repro.analysis.availability import compute_availability
+from repro.analysis.report import build_report
 from repro.experiments import paper
 from repro.experiments.compare import Comparison
 
 
 def test_headline_availability(benchmark, campaign):
-    stats = benchmark(
-        compute_availability, campaign.dataset, campaign.report.study
-    )
+    stats = benchmark(build_report, campaign.dataset).availability
 
     print()
     print(campaign.report.render_headline())

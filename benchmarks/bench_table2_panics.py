@@ -7,14 +7,14 @@ management).
 
 from benchmarks.conftest import emit
 
-from repro.analysis.panics import compute_panic_table
+from repro.analysis.report import build_report
 from repro.experiments import paper
 from repro.experiments.compare import Comparison
 from repro.symbian import panics as P
 
 
 def test_table2_panics(benchmark, campaign):
-    table = benchmark(compute_panic_table, campaign.dataset)
+    table = benchmark(build_report, campaign.dataset).panic_table
 
     print()
     print(campaign.report.render_table2())

@@ -8,16 +8,14 @@ Client message-only.
 
 from benchmarks.conftest import emit
 
-from repro.analysis.activity import compute_activity_table
+from repro.analysis.report import build_report
 from repro.experiments import paper
 from repro.experiments.compare import Comparison
 from repro.symbian import panics as P
 
 
 def test_table3_activity(benchmark, campaign):
-    table = benchmark(
-        compute_activity_table, campaign.dataset, campaign.report.study
-    )
+    table = benchmark(build_report, campaign.dataset).activity
 
     print()
     print(campaign.report.render_table3())

@@ -7,15 +7,13 @@ frequent co-running application.
 
 from benchmarks.conftest import emit
 
-from repro.analysis.runapps import compute_running_apps
+from repro.analysis.report import build_report
 from repro.experiments import paper
 from repro.experiments.compare import Comparison
 
 
 def test_table4_runapps(benchmark, campaign):
-    stats = benchmark(
-        compute_running_apps, campaign.dataset, campaign.report.study
-    )
+    stats = benchmark(build_report, campaign.dataset).runapps
 
     print()
     print(campaign.report.render_table4())

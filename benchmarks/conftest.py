@@ -1,7 +1,8 @@
 """Shared benchmark fixtures.
 
 The paper-scale campaign is simulated once per session; each benchmark
-then measures (and reports on) its own analysis step, printing the
+then measures an analysis step (a section bench times the whole
+``build_report`` fold) and reports on its own section, printing the
 paper-vs-measured comparison for the table or figure it regenerates.
 """
 

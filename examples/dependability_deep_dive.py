@@ -13,7 +13,6 @@ import argparse
 
 from repro.analysis.coalescence import hl_events_from_study
 from repro.analysis.downtime import compute_downtime
-from repro.analysis.output_failures import compute_output_failures
 from repro.analysis.reliability import compute_reliability
 from repro.analysis.tables import render_table
 from repro.analysis.trends import compute_trends
@@ -100,7 +99,7 @@ def main() -> None:
     )
 
     # -- output failures ----------------------------------------------------------
-    output = compute_output_failures(result.dataset)
+    output = report.output_failures
     print()
     print("Output-failure reports (user channel)")
     print("-------------------------------------")

@@ -10,7 +10,6 @@ honest after recalibration::
 """
 
 from repro.analysis.coalescence import hl_events_from_study, window_sweep
-from repro.analysis.output_failures import compute_output_failures
 from repro.analysis.reliability import compute_reliability
 from repro.analysis.trends import compute_trends
 from repro.analysis.variability import compute_variability
@@ -55,7 +54,7 @@ def main() -> None:
     )
 
     print("\n== EXT output failures ==")
-    output = compute_output_failures(result.dataset)
+    output = report.output_failures
     print(
         f"  reports={output.report_count} "
         f"(truth {result.ground_truth['misbehaviors_perceived']:.0f} visible) "

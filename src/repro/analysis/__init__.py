@@ -15,31 +15,25 @@ workstation) and reproduces the paper's evaluation artifacts:
 * Table 3 — panic-activity relationship (:mod:`activity`);
 * Table 4 and Figure 6 — panic-running-applications relationship
   (:mod:`runapps`);
-* the full text report combining all of them (:mod:`report`);
-* a mergeable streaming accumulator (one partial per phone)
-  reproducing every section with constant memory for sharded
-  mega-fleet runs (:mod:`streaming`).
+* the report fold (:mod:`streaming`): one partial per phone, merged
+  across shards in any order and finalized into every section above;
+* the full text report combining all of them (:mod:`report`), whose
+  :func:`build_report` is that fold over one dataset.
 """
 
-from repro.analysis.activity import ActivityTable, compute_activity_table
-from repro.analysis.availability import AvailabilityStats, compute_availability
-from repro.analysis.bursts import BurstStats, compute_bursts
+from repro.analysis.activity import ActivityTable
+from repro.analysis.availability import AvailabilityStats
+from repro.analysis.bursts import BurstStats
 from repro.analysis.coalescence import (
     CoalescenceResult,
     coalesce,
     window_sweep,
 )
 from repro.analysis.downtime import DowntimeStats, OutageClass, compute_downtime
-from repro.analysis.hl_relationship import (
-    HlRelationship,
-    compute_hl_relationship,
-)
+from repro.analysis.hl_relationship import HlRelationship
 from repro.analysis.ingest import Dataset, PhoneLog
-from repro.analysis.output_failures import (
-    OutputFailureStats,
-    compute_output_failures,
-)
-from repro.analysis.panics import PanicTable, compute_panic_table
+from repro.analysis.output_failures import OutputFailureStats
+from repro.analysis.panics import PanicTable
 from repro.analysis.reliability import (
     DistributionFit,
     ReliabilityStats,
@@ -47,7 +41,7 @@ from repro.analysis.reliability import (
     fit_reliability,
     interfailure_intervals_hours,
 )
-from repro.analysis.runapps import RunningAppsStats, compute_running_apps
+from repro.analysis.runapps import RunningAppsStats
 from repro.analysis.trends import MonthlyRate, TrendStats, compute_trends
 from repro.analysis.variability import (
     GroupRate,
@@ -72,11 +66,8 @@ __all__ = [
     "FreezeEvent",
     "compute_shutdown_study",
     "AvailabilityStats",
-    "compute_availability",
     "PanicTable",
-    "compute_panic_table",
     "OutputFailureStats",
-    "compute_output_failures",
     "ReliabilityStats",
     "DistributionFit",
     "compute_reliability",
@@ -93,16 +84,12 @@ __all__ = [
     "OutageClass",
     "compute_downtime",
     "BurstStats",
-    "compute_bursts",
     "CoalescenceResult",
     "coalesce",
     "window_sweep",
     "HlRelationship",
-    "compute_hl_relationship",
     "ActivityTable",
-    "compute_activity_table",
     "RunningAppsStats",
-    "compute_running_apps",
     "ReproductionReport",
     "build_report",
     "CampaignAccumulator",

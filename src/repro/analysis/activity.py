@@ -18,14 +18,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.coalescence import (
-    DEFAULT_WINDOW,
-    CoalescenceResult,
-    hl_events_from_study,
-    coalesce,
-)
-from repro.analysis.ingest import Dataset, PhoneLog
-from repro.analysis.shutdowns import ShutdownStudy
+from repro.analysis.ingest import PhoneLog
 from repro.core.records import (
     ACTIVITY_KINDS,
     ACTIVITY_MESSAGE,
@@ -143,35 +136,12 @@ class ActivityTable:
         return tuple(out)
 
 
-def compute_activity_table(
-    dataset: Dataset,
-    study: ShutdownStudy,
-    window: float = DEFAULT_WINDOW,
-    result: Optional[CoalescenceResult] = None,
-) -> ActivityTable:
-    """Correlate HL-related panics with the activity at panic time."""
-    if result is None:
-        result = coalesce(dataset, hl_events_from_study(study), window)
-    intervals_cache: Dict[str, Dict[str, List[Interval]]] = {}
-    pairs: List[Tuple[str, str]] = []
-    for match in result.matches:
-        log = dataset.logs.get(match.phone_id)
-        if log is None:
-            continue
-        if match.phone_id not in intervals_cache:
-            intervals_cache[match.phone_id] = activity_intervals(log)
-        activity = activity_at(intervals_cache[match.phone_id], match.panic.time)
-        pairs.append((activity, match.panic.category))
-    return activity_table_from_pairs(pairs)
-
-
 def activity_table_from_pairs(
     pairs: Sequence[Tuple[str, str]],
 ) -> ActivityTable:
     """Table 3 from (activity at panic time, panic category) pairs.
 
-    The aggregation core shared with the streaming accumulator.  Pass
-    pairs in the coalescence match order: the row-total float folds
+    Pass pairs in global panic-time order: the row-total float folds
     follow the cells' first-appearance order, so the sequence order is
     part of the bit-identity contract.
     """

@@ -16,14 +16,9 @@ of per-phone intervals over phones that experienced at least one event
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.analysis.ingest import Dataset
-from repro.analysis.shutdowns import (
-    SELF_SHUTDOWN_THRESHOLD,
-    ShutdownStudy,
-    compute_shutdown_study,
-)
+from repro.analysis.shutdowns import SELF_SHUTDOWN_THRESHOLD, ShutdownStudy
 
 
 @dataclass(frozen=True)
@@ -83,21 +78,6 @@ class AvailabilityStats:
         }
 
 
-def compute_availability(
-    dataset: Dataset,
-    study: Optional[ShutdownStudy] = None,
-    threshold: float = SELF_SHUTDOWN_THRESHOLD,
-) -> AvailabilityStats:
-    """Recover the availability figures from a dataset."""
-    if study is None:
-        study = compute_shutdown_study(dataset)
-    observed: Dict[str, float] = {
-        phone_id: log.observed_hours(dataset.end_time)
-        for phone_id, log in dataset.logs.items()
-    }
-    return availability_from_observations(observed, study, threshold)
-
-
 def availability_from_observations(
     observed: Dict[str, float],
     study: ShutdownStudy,
@@ -105,11 +85,10 @@ def availability_from_observations(
 ) -> AvailabilityStats:
     """Availability figures from per-phone observed hours plus a study.
 
-    This is the aggregation core shared by the batch path and the
-    streaming accumulator.  ``observed`` must map *every* phone in the
-    dataset, in the dataset's (lexicographic) phone order: the total
-    and the per-phone MTBF means are float folds whose order follows
-    the mapping's insertion order.
+    ``observed`` must map *every* phone in the dataset, in the
+    dataset's (lexicographic) phone order: the total and the per-phone
+    MTBF means are float folds whose order follows the mapping's
+    insertion order.
     """
     total_hours = sum(observed.values())
     freeze_counts: Dict[str, int] = {}

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.ingest import Dataset
 from repro.core.records import PanicRecord
 
 #: Default maximal intra-burst gap (seconds).  Cascades in the field
@@ -49,23 +48,26 @@ class Burst:
 
 @dataclass
 class BurstStats:
-    """Figure 3: the distribution of cascade sizes."""
+    """Figure 3: the distribution of cascade sizes.
 
-    bursts: List[Burst]
+    Every figure in the section is a function of the multiset of burst
+    sizes (counts and integer-ratio percentages, output sorted by
+    size), so the per-phone fold carries just the sizes, in any order.
+    """
+
+    sizes: List[int]
     gap: float
 
     @property
     def total_panics(self) -> int:
-        return sum(b.size for b in self.bursts)
+        return sum(self.sizes)
 
     def size_distribution(self) -> Dict[int, float]:
         """Burst size -> percentage of *panics* in bursts of that size."""
         total = self.total_panics
-        if total == 0:
-            return {}
         counts: Dict[int, int] = {}
-        for burst in self.bursts:
-            counts[burst.size] = counts.get(burst.size, 0) + burst.size
+        for size in self.sizes:
+            counts[size] = counts.get(size, 0) + size
         return {size: 100.0 * n / total for size, n in sorted(counts.items())}
 
     @property
@@ -74,48 +76,32 @@ class BurstStats:
         total = self.total_panics
         if total == 0:
             return 0.0
-        in_cascades = sum(b.size for b in self.bursts if b.size > 1)
+        in_cascades = sum(size for size in self.sizes if size > 1)
         return 100.0 * in_cascades / total
 
     @property
     def max_burst_size(self) -> int:
-        return max((b.size for b in self.bursts), default=0)
+        return max(self.sizes, default=0)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-native snapshot of Figure 3."""
-        return burst_sizes_summary([b.size for b in self.bursts], self.gap)
-
-
-def burst_sizes_summary(sizes: List[int], gap: float) -> Dict[str, object]:
-    """The Figure 3 snapshot from cascade sizes alone.
-
-    Every figure in the section is a function of the multiset of burst
-    sizes (counts and integer-ratio percentages, output sorted by
-    size), so the streaming accumulator can carry just the sizes and
-    fold them in any order.
-    """
-    total = sum(sizes)
-    counts: Dict[int, int] = {}
-    for size in sizes:
-        counts[size] = counts.get(size, 0) + size
-    in_cascades = sum(size for size in sizes if size > 1)
-    return {
-        "gap": gap,
-        "burst_count": len(sizes),
-        "total_panics": total,
-        "cascade_panic_percent": (100.0 * in_cascades / total) if total else 0.0,
-        "max_burst_size": max(sizes, default=0),
-        "size_distribution": [
-            [size, 100.0 * n / total] for size, n in sorted(counts.items())
-        ],
-    }
+        return {
+            "gap": self.gap,
+            "burst_count": len(self.sizes),
+            "total_panics": self.total_panics,
+            "cascade_panic_percent": self.cascade_panic_percent,
+            "max_burst_size": self.max_burst_size,
+            "size_distribution": [
+                [size, percent]
+                for size, percent in self.size_distribution().items()
+            ],
+        }
 
 
 def phone_bursts(
     phone_id: str, ordered_panics: Sequence[PanicRecord], gap: float
 ) -> List[Burst]:
-    """Group one phone's time-ordered panics into cascades — the
-    per-phone core shared by the batch path and streaming extraction."""
+    """Group one phone's time-ordered panics into cascades."""
     bursts: List[Burst] = []
     current: List[PanicRecord] = []
     for panic in ordered_panics:
@@ -127,14 +113,3 @@ def phone_bursts(
         bursts.append(Burst(phone_id, tuple(current)))
     return bursts
 
-
-def compute_bursts(dataset: Dataset, gap: float = DEFAULT_BURST_GAP) -> BurstStats:
-    """Group each phone's panics into cascades."""
-    if gap <= 0:
-        raise ValueError(f"burst gap must be positive, got {gap}")
-    bursts: List[Burst] = []
-    for phone_id, log in sorted(dataset.logs.items()):
-        ordered = sorted(log.panics, key=lambda p: p.time)
-        bursts.extend(phone_bursts(phone_id, ordered, gap))
-    bursts.sort(key=lambda b: b.start)
-    return BurstStats(bursts=bursts, gap=gap)

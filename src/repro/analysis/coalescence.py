@@ -119,8 +119,8 @@ def phone_hl_events(
     :class:`~repro.analysis.shutdowns.FreezeEvent` /
     :class:`~repro.analysis.shutdowns.ShutdownEvent` lists in time
     order.  Freezes are listed before shutdowns at equal times, exactly
-    like the global builder's stable sort, so per-phone matching in
-    shard workers reproduces the monolithic coalescence bit-for-bit.
+    like the global builder's stable sort, so the report fold's
+    per-phone matching picks the same event :func:`coalesce` picks.
     """
     events = [
         HlEvent(phone_id, freeze.est_time, HL_FREEZE) for freeze in freezes

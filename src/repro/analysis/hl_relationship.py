@@ -21,15 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.coalescence import (
-    DEFAULT_WINDOW,
-    HL_FREEZE,
-    CoalescenceResult,
-    coalesce,
-    hl_events_from_study,
-)
-from repro.analysis.ingest import Dataset
-from repro.analysis.shutdowns import ShutdownStudy
+from repro.analysis.coalescence import HL_FREEZE
 
 
 @dataclass
@@ -120,11 +112,9 @@ def rows_from_outcomes(
 ) -> List[CategoryHlRow]:
     """Figure 5 rows from (category, matched HL kind or ``None``) pairs.
 
-    The aggregation core shared with the streaming accumulator.  Pass
-    all matched panics first (in match order) and then the isolated
-    ones: the sort on total is stable, so row order for tied totals
-    follows first appearance in exactly that sequence — the batch
-    path's tie-breaking.
+    Pass all matched panics first (in global panic-time order) and then
+    the isolated ones: the sort on total is stable, so row order for
+    tied totals follows first appearance in exactly that sequence.
     """
     per_category: Dict[str, CategoryHlRow] = {}
 
@@ -146,33 +136,3 @@ def rows_from_outcomes(
             # self-shutdown-side for the split.
             row.self_shutdown_related += 1
     return sorted(per_category.values(), key=lambda r: -r.total)
-
-
-def compute_hl_relationship(
-    dataset: Dataset,
-    study: ShutdownStudy,
-    window: float = DEFAULT_WINDOW,
-    result: Optional[CoalescenceResult] = None,
-) -> HlRelationship:
-    """Run the coalescence (unless ``result`` is given) and aggregate
-    per category."""
-    if result is None:
-        result = coalesce(dataset, hl_events_from_study(study), window)
-
-    outcomes: List[Tuple[str, Optional[str]]] = [
-        (match.panic.category, match.hl_event.kind) for match in result.matches
-    ]
-    outcomes.extend(
-        (panic.category, None) for _phone_id, panic in result.isolated_panics
-    )
-    rows = rows_from_outcomes(outcomes)
-
-    all_events = hl_events_from_study(study, include_user_shutdowns=True)
-    all_result = coalesce(dataset, all_events, window)
-
-    return HlRelationship(
-        window=window,
-        rows=rows,
-        related_percent=result.related_percent,
-        related_percent_all_shutdowns=all_result.related_percent,
-    )

@@ -18,8 +18,6 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.coalescence import DEFAULT_WINDOW
-from repro.analysis.ingest import Dataset
 
 
 @dataclass
@@ -76,8 +74,7 @@ class OutputFailureStats:
 @dataclass(frozen=True)
 class PhoneReportPart:
     """One phone's contribution to the output-failure section — the
-    per-phone unit the batch path and the streaming finalize both
-    fold."""
+    per-phone unit the report's finalize folds."""
 
     #: Report kinds, in log order.
     kinds: Tuple[str, ...]
@@ -111,10 +108,9 @@ def stats_from_phone_parts(
 ) -> OutputFailureStats:
     """Fold per-phone parts into :class:`OutputFailureStats`.
 
-    The aggregation core shared by the batch path and the streaming
-    accumulator.  Pass parts in the dataset's (lexicographic) phone
-    order: the observed-hours total and the chance baseline are float
-    folds in that order.
+    Pass parts in the dataset's (lexicographic) phone order: the
+    observed-hours total and the chance baseline are float folds in
+    that order.
     """
     by_kind: Dict[str, int] = {}
     report_count = 0
@@ -145,20 +141,6 @@ def stats_from_phone_parts(
         chance_fraction=chance,
         window=window,
     )
-
-
-def compute_output_failures(
-    dataset: Dataset,
-    window: float = DEFAULT_WINDOW,
-) -> OutputFailureStats:
-    """Aggregate user reports and correlate them with panics."""
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    parts = [
-        phone_report_part(log, dataset.end_time, window)
-        for log in dataset.logs.values()
-    ]
-    return stats_from_phone_parts(parts, window)
 
 
 def has_time_within(sorted_times: List[float], t: float, window: float) -> bool:

@@ -10,9 +10,8 @@ category, ~18%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.analysis.ingest import Dataset
 from repro.symbian.panics import (
     E32USER_CBASE,
     KERN_EXEC,
@@ -85,20 +84,10 @@ class PanicTable:
         }
 
 
-def compute_panic_table(dataset: Dataset) -> PanicTable:
-    """Build Table 2 from the raw panic records."""
-    counts: Dict[PanicId, int] = {}
-    for _phone_id, panic in dataset.all_panics():
-        pid = PanicId(panic.category, panic.ptype)
-        counts[pid] = counts.get(pid, 0) + 1
-    return panic_table_from_counts(counts)
-
-
 def panic_table_from_counts(counts: Dict[PanicId, int]) -> PanicTable:
     """Assemble Table 2 from (category, type) counts.
 
-    The aggregation core shared with the streaming accumulator: the
-    row sort key is a total order over (category total, category,
+    The row sort key is a total order over (category total, category,
     count, type), so any insertion order of ``counts`` produces the
     same table.
     """

@@ -3,33 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.activity import (
-    ACTIVITY_COLUMNS,
-    ActivityTable,
-    compute_activity_table,
-)
-from repro.analysis.availability import AvailabilityStats, compute_availability
-from repro.analysis.bursts import BurstStats, compute_bursts
-from repro.analysis.coalescence import (
-    DEFAULT_WINDOW,
-    coalesce,
-    hl_events_from_study,
-)
-from repro.analysis.hl_relationship import HlRelationship, compute_hl_relationship
+from repro.analysis.activity import ACTIVITY_COLUMNS, ActivityTable
+from repro.analysis.availability import AvailabilityStats
+from repro.analysis.bursts import BurstStats
+from repro.analysis.coalescence import DEFAULT_WINDOW
+from repro.analysis.hl_relationship import HlRelationship
 from repro.analysis.ingest import Dataset
-from repro.analysis.output_failures import (
-    OutputFailureStats,
-    compute_output_failures,
-)
-from repro.analysis.panics import PanicTable, compute_panic_table
-from repro.analysis.runapps import RunningAppsStats, compute_running_apps
-from repro.analysis.shutdowns import (
-    SELF_SHUTDOWN_THRESHOLD,
-    ShutdownStudy,
-    compute_shutdown_study,
-)
+from repro.analysis.output_failures import OutputFailureStats
+from repro.analysis.panics import PanicTable
+from repro.analysis.runapps import RunningAppsStats
+from repro.analysis.shutdowns import SELF_SHUTDOWN_THRESHOLD, ShutdownStudy
+from repro.analysis.streaming import CampaignAccumulator
 from repro.analysis.tables import render_table
 
 
@@ -307,24 +293,18 @@ class ReproductionReport:
 def build_report(
     dataset: Dataset, window: float = DEFAULT_WINDOW
 ) -> ReproductionReport:
-    """Run the whole §6 pipeline on a dataset."""
-    study = compute_shutdown_study(dataset)
-    availability = compute_availability(dataset, study)
-    panic_table = compute_panic_table(dataset)
-    bursts = compute_bursts(dataset)
-    result = coalesce(dataset, hl_events_from_study(study), window)
-    hl = compute_hl_relationship(dataset, study, window, result)
-    activity = compute_activity_table(dataset, study, window, result)
-    runapps = compute_running_apps(dataset, study, window, result)
-    output_failures = compute_output_failures(dataset, window)
+    """Run the whole §6 pipeline on a dataset: the per-phone fold of
+    :mod:`repro.analysis.streaming` plus its one finalize."""
+    accumulator = CampaignAccumulator.from_dataset(dataset, window=window)
+    sections = accumulator.finalize()
     return ReproductionReport(
         dataset=dataset,
-        study=study,
-        availability=availability,
-        panic_table=panic_table,
-        bursts=bursts,
-        hl=hl,
-        activity=activity,
-        runapps=runapps,
-        output_failures=output_failures,
+        study=sections["shutdowns"],
+        availability=sections["availability"],
+        panic_table=sections["panics"],
+        bursts=sections["bursts"],
+        hl=sections["hl"],
+        activity=sections["activity"],
+        runapps=sections["runapps"],
+        output_failures=sections["output_failures"],
     )

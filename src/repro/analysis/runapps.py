@@ -14,16 +14,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.coalescence import (
-    DEFAULT_WINDOW,
-    HL_FREEZE,
-    HL_SELF_SHUTDOWN,
-    CoalescenceResult,
-    coalesce,
-    hl_events_from_study,
-)
-from repro.analysis.ingest import Dataset, PhoneLog
-from repro.analysis.shutdowns import ShutdownStudy
+from repro.analysis.ingest import PhoneLog
 
 OUTCOME_FREEZE = "freeze"
 OUTCOME_SELF_SHUTDOWN = "self_shutdown"
@@ -94,46 +85,13 @@ class RunningAppsStats:
         }
 
 
-def compute_running_apps(
-    dataset: Dataset,
-    study: ShutdownStudy,
-    window: float = DEFAULT_WINDOW,
-    result: Optional[CoalescenceResult] = None,
-) -> RunningAppsStats:
-    """Join every panic with its running-app snapshot and HL outcome."""
-    if result is None:
-        result = coalesce(dataset, hl_events_from_study(study), window)
-
-    outcome_by_panic: Dict[int, str] = {}
-    for match in result.matches:
-        if match.hl_event.kind == HL_FREEZE:
-            outcome_by_panic[id(match.panic)] = OUTCOME_FREEZE
-        elif match.hl_event.kind == HL_SELF_SHUTDOWN:
-            outcome_by_panic[id(match.panic)] = OUTCOME_SELF_SHUTDOWN
-
-    joins: List[Tuple[str, str, Tuple[str, ...]]] = []
-    times_by_phone: Dict[str, List[float]] = {}
-    for phone_id, panic in dataset.all_panics():
-        log = dataset.logs[phone_id]
-        times = times_by_phone.get(phone_id)
-        if times is None:
-            times = [snap.time for snap in log.runapps]
-            times_by_phone[phone_id] = times
-        apps = running_apps_at(log, panic.time, _times=times)
-        outcome = outcome_by_panic.get(id(panic), OUTCOME_NONE)
-        joins.append((panic.category, outcome, apps))
-    return runapps_stats_from_joins(joins)
-
-
 def runapps_stats_from_joins(
     joins: Sequence[Tuple[str, str, Tuple[str, ...]]],
 ) -> RunningAppsStats:
     """Figure 6 + Table 4 from (category, HL outcome, apps) joins.
 
-    The aggregation core shared with the streaming accumulator; pass
-    joins in the dataset's global panic-time order (the batch path's
-    ``all_panics`` order) so dict insertion orders match the batch
-    result exactly.
+    Pass joins in the dataset's global panic-time order (the
+    ``Dataset.all_panics`` order): the dict insertion orders follow it.
     """
     count_hist: Dict[int, int] = {}
     table_counts: Dict[Tuple[str, str], Dict[str, int]] = {}

@@ -1,42 +1,37 @@
-"""Mergeable streaming accumulator — constant-memory shard analysis.
+"""The report fold: one JSON-native partial per phone, merged, finalized.
 
-The batch pipeline (:func:`repro.analysis.report.build_report`)
-materialises every phone's parsed log in one :class:`Dataset` before
-aggregating, so a single process pays O(fleet records) memory.  The
-paper's analysis is a per-phone fold, so this module keeps **one
-JSON-native partial per phone**: a shard worker reduces each phone's
-log to its partial (classified boots, observation start, record
-count, burst sizes, user-report part and one row per panic — never
-raw records), partials from any number of shards merge as a disjoint
-union in any order, and one finalize pass (:meth:`sections`)
-reproduces the monolithic report section by section,
+Every §6 artifact is a sum over phones — panics coalesce with HL
+events on their own phone, MTBF divides events by summed phone-hours,
+bursts never cross phones — so the report is a fold.
+:meth:`CampaignAccumulator.add_phone` reduces each phone's log to its
+partial (classified boots, observation start, record count, burst
+sizes, user-report part and one row per panic — never raw records),
+partials from any number of shards merge as a disjoint union in any
+order, and one finalize pass (:meth:`CampaignAccumulator.finalize`)
+builds the eight typed report sections.
+:func:`~repro.analysis.report.build_report` is this fold over one
+:class:`Dataset`; a sharded campaign folds each shard in its worker
+and merges the partials, so both produce the same report,
 **bit-identically**.
 
 Each panic is one row ``[time, category, type, matched HL kind or
 None, matched under all-shutdowns, activity, running apps]``: the
 window matching, the activity lookup and the running-apps join all
-ran in the worker against the phone's own records, so every section
-that reads panics (Table 2, Figure 5, Table 3, Figure 6/Table 4)
-reads the same row.
+ran against the phone's own records, so every section that reads
+panics (Table 2, Figure 5, Table 3, Figure 6/Table 4) reads the same
+row.  The activity is looked up only for a matched panic (Table 3
+reads no other row; an unmatched row carries ``None``).
 
-Bit-identity holds by construction, not by luck: finalize goes
-through the same aggregation cores the batch path uses
-(:func:`~repro.analysis.shutdowns.assemble_study`,
-:func:`~repro.analysis.availability.availability_from_observations`,
-:func:`~repro.analysis.panics.panic_table_from_counts`,
-:func:`~repro.analysis.bursts.burst_sizes_summary`,
-:func:`~repro.analysis.hl_relationship.rows_from_outcomes`,
-:func:`~repro.analysis.activity.activity_table_from_pairs`,
-:func:`~repro.analysis.runapps.runapps_stats_from_joins`,
-:func:`~repro.analysis.output_failures.stats_from_phone_parts`) and
-replays the batch path's float-fold orders exactly: phones in
-lexicographic id order, panics in the global stable time sort of
-``Dataset.all_panics``.  A phone appearing in two partials is a
-double-count and raises :class:`~repro.core.errors.AnalysisError`.
+Merge order cannot change a bit, because finalize replays fixed
+float-fold orders: phones in lexicographic id order, panics in the
+global stable time sort of ``Dataset.all_panics``.  A phone appearing
+in two partials is a double-count and raises
+:class:`~repro.core.errors.AnalysisError`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from repro.analysis.activity import (
@@ -44,15 +39,8 @@ from repro.analysis.activity import (
     activity_intervals,
     activity_table_from_pairs,
 )
-from repro.analysis.availability import (
-    AvailabilityStats,
-    availability_from_observations,
-)
-from repro.analysis.bursts import (
-    DEFAULT_BURST_GAP,
-    burst_sizes_summary,
-    phone_bursts,
-)
+from repro.analysis.availability import availability_from_observations
+from repro.analysis.bursts import DEFAULT_BURST_GAP, BurstStats, phone_bursts
 from repro.analysis.coalescence import (
     DEFAULT_WINDOW,
     HL_FREEZE,
@@ -80,7 +68,6 @@ from repro.analysis.shutdowns import (
     FreezeEvent,
     PhoneBootClassification,
     ShutdownEvent,
-    ShutdownStudy,
     assemble_study,
     classify_boots,
 )
@@ -97,11 +84,11 @@ _OUTCOMES = {HL_FREEZE: OUTCOME_FREEZE, HL_SELF_SHUTDOWN: OUTCOME_SELF_SHUTDOWN}
 class CampaignAccumulator:
     """Per-phone partials plus the analysis knobs.
 
-    The shard-campaign unit of work: workers build one from their slice
-    of the fleet (:meth:`from_dataset`), results merge pairwise in any
-    order (:meth:`merge`), and :meth:`sections` finalizes into the
-    exact dict :meth:`ReproductionReport.to_dict` produces for the
-    monolithic dataset.  The empty accumulator is the merge identity.
+    The report's unit of work: ``build_report`` and each shard worker
+    build one from their dataset (:meth:`from_dataset`), results merge
+    pairwise in any order (:meth:`merge`), and :meth:`finalize` builds
+    the report's typed sections (:meth:`sections` is their
+    ``to_dict``).  The empty accumulator is the merge identity.
     """
 
     def __init__(
@@ -112,12 +99,16 @@ class CampaignAccumulator:
         threshold: float = SELF_SHUTDOWN_THRESHOLD,
         phones: Optional[Dict[str, dict]] = None,
     ) -> None:
-        if end_time <= 0:
-            raise AnalysisError(f"end_time must be positive, got {end_time}")
-        if window <= 0:
-            raise AnalysisError(f"window must be positive, got {window}")
-        if gap <= 0:
-            raise AnalysisError(f"burst gap must be positive, got {gap}")
+        for name, value in (
+            ("end_time", end_time),
+            ("window", window),
+            ("burst gap", gap),
+            ("threshold", threshold),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise AnalysisError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         self.end_time = end_time
         self.window = window
         self.gap = gap
@@ -157,33 +148,46 @@ class CampaignAccumulator:
                 f"phone {phone_id!r} already accumulated (double-count)"
             )
         boots = classify_boots(phone_id, log.boots)
-        events = phone_hl_events(
-            phone_id, boots.freezes, boots.shutdowns, self.threshold
-        )
-        events_all = phone_hl_events(
-            phone_id,
-            boots.freezes,
-            boots.shutdowns,
-            self.threshold,
-            include_user_shutdowns=True,
-        )
-        intervals = activity_intervals(log)
-        runapp_times = [snap.time for snap in log.runapps]
         panics: List[list] = []
-        for panic in log.panics:
-            nearest = matched_event(events, panic.time, self.window)
-            panics.append(
-                [
-                    panic.time,
-                    panic.category,
-                    panic.ptype,
-                    nearest.kind if nearest is not None else None,
-                    matched_event(events_all, panic.time, self.window)
-                    is not None,
-                    activity_at(intervals, panic.time),
-                    list(running_apps_at(log, panic.time, _times=runapp_times)),
-                ]
+        if log.panics:
+            events = phone_hl_events(
+                phone_id, boots.freezes, boots.shutdowns, self.threshold
             )
+            events_all = phone_hl_events(
+                phone_id,
+                boots.freezes,
+                boots.shutdowns,
+                self.threshold,
+                include_user_shutdowns=True,
+            )
+            # The joins are built only where a row reads them: the
+            # activity intervals for a matched panic, the RUNAPP times
+            # for a phone with panics.
+            intervals = None
+            runapp_times = [snap.time for snap in log.runapps]
+            for panic in log.panics:
+                nearest = matched_event(events, panic.time, self.window)
+                activity = None
+                if nearest is not None:
+                    if intervals is None:
+                        intervals = activity_intervals(log)
+                    activity = activity_at(intervals, panic.time)
+                panics.append(
+                    [
+                        panic.time,
+                        panic.category,
+                        panic.ptype,
+                        nearest.kind if nearest is not None else None,
+                        matched_event(events_all, panic.time, self.window)
+                        is not None,
+                        activity,
+                        list(
+                            running_apps_at(
+                                log, panic.time, _times=runapp_times
+                            )
+                        ),
+                    ]
+                )
         ordered_panics = sorted(log.panics, key=lambda p: p.time)
         part = phone_report_part(log, self.end_time, self.window)
         self.phones[phone_id] = {
@@ -249,9 +253,11 @@ class CampaignAccumulator:
         """Parsed records across all phones (telemetry parity)."""
         return sum(partial["records"] for partial in self.phones.values())
 
-    def study(self) -> ShutdownStudy:
-        """Rebuild the :class:`ShutdownStudy` the batch path computes."""
-        return assemble_study(
+    def finalize(self) -> Dict[str, object]:
+        """The eight typed report sections, keyed like
+        :meth:`~repro.analysis.report.ReproductionReport.to_dict`."""
+        ordered = self._ordered()
+        study = assemble_study(
             [
                 PhoneBootClassification(
                     phone_id=phone_id,
@@ -267,23 +273,13 @@ class CampaignAccumulator:
                     maoff_count=partial["maoff"],
                     first_boot_count=partial["first_boots"],
                 )
-                for phone_id, partial in self._ordered()
+                for phone_id, partial in ordered
             ]
         )
-
-    def availability(self, study: Optional[ShutdownStudy] = None) -> AvailabilityStats:
-        if study is None:
-            study = self.study()
         observed = {
             phone_id: observation_hours(partial["start_time"], self.end_time)
-            for phone_id, partial in self._ordered()
+            for phone_id, partial in ordered
         }
-        return availability_from_observations(observed, study, self.threshold)
-
-    def sections(self) -> Dict[str, Dict[str, object]]:
-        """Finalize into the batch report's ``to_dict`` sections."""
-        ordered = self._ordered()
-        study = self.study()
         # The global stable time sort ``Dataset.all_panics`` uses:
         # phones lexicographically, then a stable sort on time.
         rows = [row for _pid, partial in ordered for row in partial["panics"]]
@@ -297,42 +293,51 @@ class CampaignAccumulator:
         isolated = [(row[1], None) for row in rows if row[3] is None]
         matched_all = sum(1 for row in rows if row[4])
         total = len(rows)
-        hl = HlRelationship(
-            window=self.window,
-            rows=rows_from_outcomes(matched + isolated),
-            related_percent=(100.0 * len(matched) / total) if total else 0.0,
-            related_percent_all_shutdowns=(
-                (100.0 * matched_all / total) if total else 0.0
-            ),
-        )
         parts = [
             PhoneReportPart(
                 kinds=tuple(partial["report_kinds"]),
                 correlated=partial["correlated"],
-                hours=observation_hours(partial["start_time"], self.end_time),
+                hours=observed[phone_id],
                 covered_seconds=partial["covered_seconds"],
             )
-            for _pid, partial in ordered
+            for phone_id, partial in ordered
         ]
         return {
-            "shutdowns": study.to_dict(),
-            "availability": self.availability(study).to_dict(),
-            "panics": panic_table_from_counts(counts).to_dict(),
-            "bursts": burst_sizes_summary(
+            "shutdowns": study,
+            "availability": availability_from_observations(
+                observed, study, self.threshold
+            ),
+            "panics": panic_table_from_counts(counts),
+            "bursts": BurstStats(
                 [size for _pid, partial in ordered for size in partial["bursts"]],
                 self.gap,
             ),
-            "hl": hl.to_dict(),
+            "hl": HlRelationship(
+                window=self.window,
+                rows=rows_from_outcomes(matched + isolated),
+                related_percent=(
+                    (100.0 * len(matched) / total) if total else 0.0
+                ),
+                related_percent_all_shutdowns=(
+                    (100.0 * matched_all / total) if total else 0.0
+                ),
+            ),
             "activity": activity_table_from_pairs(
                 [(row[5], row[1]) for row in rows if row[3] is not None]
-            ).to_dict(),
+            ),
             "runapps": runapps_stats_from_joins(
                 [
                     (row[1], _OUTCOMES.get(row[3], OUTCOME_NONE), tuple(row[6]))
                     for row in rows
                 ]
-            ).to_dict(),
-            "output_failures": stats_from_phone_parts(parts, self.window).to_dict(),
+            ),
+            "output_failures": stats_from_phone_parts(parts, self.window),
+        }
+
+    def sections(self) -> Dict[str, Dict[str, object]]:
+        """The report's ``to_dict`` sections (:meth:`finalize`, as data)."""
+        return {
+            name: section.to_dict() for name, section in self.finalize().items()
         }
 
     # -- serialization -----------------------------------------------------------

@@ -62,7 +62,9 @@ from typing import (
     Union,
 )
 
+from repro.analysis.bursts import DEFAULT_BURST_GAP
 from repro.analysis.ingest import IngestReport
+from repro.analysis.shutdowns import SELF_SHUTDOWN_THRESHOLD
 from repro.analysis.streaming import CampaignAccumulator
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import simulate_and_ingest
@@ -457,14 +459,29 @@ def read_committed_shard(path: str, campaign: Dict[str, Any]) -> ShardResult:
     The one validator every reader of committed shards goes through:
     raises :class:`ValueError` unless the file loads cleanly, its config
     with the slice erased *is* ``campaign`` (so another campaign's
-    shards in the same directory are never adopted), its declared
-    ``phone_range`` equals the payload's, and the range lies inside the
-    fleet.  A rejected range simply stays uncovered and is recomputed,
-    so a torn, foreign, or stale entry can never poison a result.
+    shards in the same directory are never adopted), its accumulator
+    knobs are the ones :class:`ShardTask` folds that campaign with, its
+    declared ``phone_range`` equals the payload's, and the range lies
+    inside the fleet.  A rejected range simply stays uncovered and is
+    recomputed, so a torn, foreign, or stale entry can never poison a
+    result.
     """
     result = load_shard_file(path)
     if _campaign_identity(result.config) != campaign:
         raise ValueError(f"shard file {path!r} belongs to another campaign")
+    accumulator = result.accumulator
+    expected = {
+        "end_time": campaign["fleet"].get("duration"),
+        "window": campaign.get("coalescence_window"),
+        "gap": DEFAULT_BURST_GAP,
+        "threshold": SELF_SHUTDOWN_THRESHOLD,
+    }
+    for knob, value in expected.items():
+        if getattr(accumulator, knob) != value:
+            raise ValueError(
+                f"shard file {path!r} folded with {knob} "
+                f"{getattr(accumulator, knob)!r}, not {value!r}"
+            )
     declared = (result.config.get("fleet") or {}).get("phone_range")
     if declared != list(result.phone_range):
         raise ValueError(

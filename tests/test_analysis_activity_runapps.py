@@ -6,12 +6,9 @@ from repro.analysis.activity import (
     ACTIVITY_UNSPECIFIED,
     activity_at,
     activity_intervals,
-    compute_activity_table,
 )
-from repro.analysis.coalescence import HL_FREEZE, HlEvent, coalesce
-from repro.analysis.ingest import Dataset
-from repro.analysis.runapps import compute_running_apps, running_apps_at
-from repro.analysis.shutdowns import compute_shutdown_study
+from repro.analysis.report import build_report
+from repro.analysis.runapps import running_apps_at
 from repro.core.records import (
     ActivityRecord,
     BootRecord,
@@ -93,38 +90,28 @@ class TestActivityIntervals:
 
 class TestActivityTable:
     def make_dataset(self):
+        # Both panics coalesce with a freeze: ALIVE-last boots whose
+        # last beats (the freeze estimates) are 1060 s and 9100 s.
         records = [
             boot(0.0, "NONE", 0.0),
             ActivityRecord(1000.0, "voice_call", "start"),
             PanicRecord(1050.0, "USER", 11, "Telephone"),
             ActivityRecord(1100.0, "voice_call", "end"),
+            boot(1200.0, "ALIVE", 1060.0),
             PanicRecord(9000.0, "KERN-EXEC", 3, "Camera"),
+            boot(9200.0, "ALIVE", 9100.0),
         ]
         return dataset_from_records({"p": records}, end_time=1e6)
 
     def test_table_from_explicit_matches(self):
-        dataset = self.make_dataset()
-        events = [
-            HlEvent("p", 1060.0, HL_FREEZE),
-            HlEvent("p", 9100.0, HL_FREEZE),
-        ]
-        result = coalesce(dataset, events, window=300.0)
-        study = compute_shutdown_study(dataset)
-        table = compute_activity_table(dataset, study, result=result)
+        table = build_report(self.make_dataset(), window=300.0).activity
         assert table.total_panics == 2
         assert table.cells[("voice_call", "USER")] == pytest.approx(50.0)
         assert table.cells[("unspecified", "KERN-EXEC")] == pytest.approx(50.0)
         assert table.realtime_percent == pytest.approx(50.0)
 
     def test_voice_only_category_detection(self):
-        dataset = self.make_dataset()
-        events = [
-            HlEvent("p", 1060.0, HL_FREEZE),
-            HlEvent("p", 9100.0, HL_FREEZE),
-        ]
-        result = coalesce(dataset, events, window=300.0)
-        study = compute_shutdown_study(dataset)
-        table = compute_activity_table(dataset, study, result=result)
+        table = build_report(self.make_dataset(), window=300.0).activity
         assert "USER" in table.voice_only_categories()
         assert "KERN-EXEC" not in table.voice_only_categories()
 
@@ -135,7 +122,7 @@ class TestActivityTable:
 
 
 class TestRunningApps:
-    def make_dataset(self):
+    def make_dataset(self, freeze_at=None):
         records = [
             boot(0.0, "NONE", 0.0),
             RunningAppsRecord(0.0, ()),
@@ -145,6 +132,9 @@ class TestRunningApps:
             RunningAppsRecord(900.0, ("Clock", "Log")),
             PanicRecord(2000.0, "USER", 11, "Clock"),
         ]
+        if freeze_at is not None:
+            # An ALIVE-last boot: a freeze estimated at its last beat.
+            records.append(boot(freeze_at + 1000.0, "ALIVE", freeze_at))
         return dataset_from_records({"p": records}, end_time=1e6)
 
     def test_running_apps_at_uses_strictly_before(self):
@@ -159,27 +149,20 @@ class TestRunningApps:
         assert running_apps_at(dataset.logs["p"], -5.0) == ()
 
     def test_count_distribution(self):
-        dataset = self.make_dataset()
-        study = compute_shutdown_study(dataset)
-        stats = compute_running_apps(dataset, study)
+        stats = build_report(self.make_dataset()).runapps
         assert stats.total_panics == 2
         assert stats.count_distribution[1] == pytest.approx(50.0)
         assert stats.count_distribution[2] == pytest.approx(50.0)
         assert stats.modal_app_count in (1, 2)
 
     def test_app_totals(self):
-        dataset = self.make_dataset()
-        study = compute_shutdown_study(dataset)
-        stats = compute_running_apps(dataset, study)
+        stats = build_report(self.make_dataset()).runapps
         assert stats.app_totals["Messages"] == pytest.approx(50.0)
         assert stats.app_totals["Clock"] == pytest.approx(50.0)
 
     def test_outcome_classification(self):
-        dataset = self.make_dataset()
-        study = compute_shutdown_study(dataset)
-        events = [HlEvent("p", 650.0, HL_FREEZE)]
-        result = coalesce(dataset, events, window=300.0)
-        stats = compute_running_apps(dataset, study, result=result)
+        dataset = self.make_dataset(freeze_at=650.0)
+        stats = build_report(dataset, window=300.0).runapps
         keys = set(stats.table)
         assert ("KERN-EXEC", "freeze") in keys
         assert ("USER", "no_hl_event") in keys

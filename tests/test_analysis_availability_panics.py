@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis.availability import compute_availability
-from repro.analysis.panics import compute_panic_table
+from repro.analysis.availability import availability_from_observations
+from repro.analysis.report import build_report
 from repro.analysis.shutdowns import compute_shutdown_study
 from repro.core.clock import HOUR
 from repro.core.records import BootRecord, PanicRecord
@@ -15,6 +15,14 @@ def boot(time, kind, beat_time):
     return BootRecord(time, kind, beat_time)
 
 
+def availability_of(dataset):
+    return build_report(dataset).availability
+
+
+def panic_table_of(dataset):
+    return build_report(dataset).panic_table
+
+
 class TestAvailability:
     def test_pooled_mtbf(self):
         # One phone observed 100 h with two freezes.
@@ -24,7 +32,7 @@ class TestAvailability:
             boot(50 * HOUR, "ALIVE", 49 * HOUR),
         ]
         dataset = dataset_from_records({"p": records}, end_time=100 * HOUR)
-        stats = compute_availability(dataset)
+        stats = availability_of(dataset)
         assert stats.freeze_count == 2
         assert stats.mtbf_freeze_hours == pytest.approx(50.0)
         assert stats.freeze_interval_days == pytest.approx(50.0 / 24.0)
@@ -35,7 +43,7 @@ class TestAvailability:
             boot(10 * HOUR + 80, "REBOOT", 10 * HOUR),
         ]
         dataset = dataset_from_records({"p": records}, end_time=50 * HOUR)
-        stats = compute_availability(dataset)
+        stats = availability_of(dataset)
         assert stats.self_shutdown_count == 1
         assert stats.mtbf_self_shutdown_hours == pytest.approx(50.0, rel=0.01)
 
@@ -43,7 +51,7 @@ class TestAvailability:
         dataset = dataset_from_records(
             {"p": [boot(0.0, "NONE", 0.0)]}, end_time=100 * HOUR
         )
-        stats = compute_availability(dataset)
+        stats = availability_of(dataset)
         assert stats.mtbf_freeze_hours == float("inf")
         assert stats.combined_failure_rate_per_hour == 0.0
 
@@ -58,7 +66,7 @@ class TestAvailability:
         dataset = dataset_from_records(
             {"a": records_a, "b": records_b}, end_time=100 * HOUR
         )
-        stats = compute_availability(dataset)
+        stats = availability_of(dataset)
         assert stats.per_phone_mtbf_freeze_hours == pytest.approx(75.0)
         assert stats.mtbf_freeze_hours == pytest.approx(200.0 / 3.0)
 
@@ -69,7 +77,7 @@ class TestAvailability:
             boot(20 * HOUR + 80, "REBOOT", 20 * HOUR),
         ]
         dataset = dataset_from_records({"p": records}, end_time=120 * HOUR)
-        stats = compute_availability(dataset)
+        stats = availability_of(dataset)
         expected = (
             stats.freeze_interval_days + stats.self_shutdown_interval_days
         ) / 2.0
@@ -79,8 +87,10 @@ class TestAvailability:
         records = [boot(0.0, "NONE", 0.0), boot(10 * HOUR, "ALIVE", 9 * HOUR)]
         dataset = dataset_from_records({"p": records}, end_time=100 * HOUR)
         study = compute_shutdown_study(dataset)
-        stats = compute_availability(dataset, study)
+        observed = {"p": dataset.logs["p"].observed_hours(dataset.end_time)}
+        stats = availability_from_observations(observed, study)
         assert stats.freeze_count == 1
+        assert stats.mtbf_freeze_hours == pytest.approx(100.0)
 
 
 class TestPanicTable:
@@ -94,20 +104,20 @@ class TestPanicTable:
         dataset = self.make_dataset(
             [("KERN-EXEC", 3)] * 3 + [("USER", 11)] * 1
         )
-        table = compute_panic_table(dataset)
+        table = panic_table_of(dataset)
         assert table.total == 4
         assert table.percent_of("KERN-EXEC", 3) == pytest.approx(75.0)
         assert table.percent_of("USER", 11) == pytest.approx(25.0)
 
     def test_rows_carry_documentation(self):
-        table = compute_panic_table(self.make_dataset([("KERN-EXEC", 3)]))
+        table = panic_table_of(self.make_dataset([("KERN-EXEC", 3)]))
         assert "dereferencing NULL" in table.rows[0].meaning
 
     def test_category_ordering_by_frequency(self):
         dataset = self.make_dataset(
             [("USER", 11)] * 5 + [("KERN-EXEC", 3)] * 2
         )
-        table = compute_panic_table(dataset)
+        table = panic_table_of(dataset)
         assert table.rows[0].panic_id.category == "USER"
 
     def test_headline_aggregates(self):
@@ -117,25 +127,25 @@ class TestPanicTable:
             + [("E32USER-CBase", 33)] * 8
             + [("USER", 11)] * 26
         )
-        table = compute_panic_table(dataset)
+        table = panic_table_of(dataset)
         assert table.access_violation_percent == pytest.approx(56.0)
         assert table.heap_management_percent == pytest.approx(18.0)
 
     def test_category_totals(self):
         dataset = self.make_dataset([("USER", 10), ("USER", 11), ("KERN-EXEC", 3)])
-        totals = compute_panic_table(dataset).category_totals()
+        totals = panic_table_of(dataset).category_totals()
         assert totals["USER"] == pytest.approx(200.0 / 3.0)
         assert list(totals)[0] == "USER"
 
     def test_empty_dataset(self):
-        table = compute_panic_table(self.make_dataset([]))
+        table = panic_table_of(self.make_dataset([]))
         assert table.total == 0
         assert table.rows == []
         assert table.access_violation_percent == 0.0
 
     def test_unknown_panic_tolerated(self):
         dataset = self.make_dataset([("FUTURE-CAT", 99)])
-        table = compute_panic_table(dataset)
+        table = panic_table_of(dataset)
         assert table.rows[0].panic_id == PanicId("FUTURE-CAT", 99)
         assert "Unregistered" in table.rows[0].meaning
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.bursts import compute_bursts
+from repro.analysis.bursts import phone_bursts
 from repro.analysis.coalescence import (
     DEFAULT_WINDOW,
     HL_FREEZE,
@@ -15,6 +15,8 @@ from repro.analysis.coalescence import (
     window_sweep,
 )
 from repro.analysis.shutdowns import compute_shutdown_study
+from repro.analysis.streaming import CampaignAccumulator
+from repro.core.errors import AnalysisError
 from repro.core.records import BootRecord, PanicRecord
 from tests.helpers import dataset_from_records
 
@@ -37,29 +39,31 @@ class TestBursts:
         for t, phone_id in zip(times, phones):
             records[phone_id].append(panic(t))
         dataset = dataset_from_records(records, end_time=1e6)
-        return compute_bursts(dataset, gap=gap)
+        return CampaignAccumulator.from_dataset(dataset, gap=gap).finalize()[
+            "bursts"
+        ]
 
     def test_isolated_panics_are_singleton_bursts(self):
         stats = self.make([100.0, 10_000.0, 20_000.0])
-        assert [b.size for b in stats.bursts] == [1, 1, 1]
+        assert stats.sizes == [1, 1, 1]
         assert stats.cascade_panic_percent == 0.0
 
     def test_close_panics_form_cascade(self):
         stats = self.make([100.0, 110.0, 130.0, 50_000.0])
-        assert sorted(b.size for b in stats.bursts) == [1, 3]
+        assert sorted(stats.sizes) == [1, 3]
         assert stats.cascade_panic_percent == pytest.approx(75.0)
 
     def test_gap_boundary_inclusive(self):
         stats = self.make([100.0, 220.0], gap=120.0)
-        assert [b.size for b in stats.bursts] == [2]
+        assert stats.sizes == [2]
 
     def test_gap_boundary_exceeded(self):
         stats = self.make([100.0, 221.0], gap=120.0)
-        assert [b.size for b in stats.bursts] == [1, 1]
+        assert stats.sizes == [1, 1]
 
     def test_cross_phone_panics_never_merge(self):
         stats = self.make([100.0, 105.0], phones=["a", "b"])
-        assert [b.size for b in stats.bursts] == [1, 1]
+        assert stats.sizes == [1, 1]
 
     def test_size_distribution_is_panic_weighted(self):
         stats = self.make([0.0, 10.0, 5_000.0])
@@ -68,7 +72,7 @@ class TestBursts:
         assert dist[1] == pytest.approx(100.0 / 3.0)
 
     def test_invalid_gap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AnalysisError):
             self.make([1.0], gap=0.0)
 
     def test_max_burst_size(self):
@@ -82,8 +86,10 @@ class TestBursts:
         assert stats.max_burst_size == 0
 
     def test_burst_metadata(self):
-        stats = self.make([100.0, 110.0])
-        burst = stats.bursts[0]
+        bursts = phone_bursts("p", [panic(100.0), panic(110.0)], gap=120.0)
+        assert len(bursts) == 1
+        burst = bursts[0]
+        assert burst.phone_id == "p"
         assert burst.start == 100.0
         assert burst.end == 110.0
         assert burst.first_category == "KERN-EXEC"

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.analysis.output_failures import (
-    compute_output_failures,
-    covered_seconds,
-)
+from repro.analysis.output_failures import covered_seconds
+from repro.analysis.report import build_report
+from repro.analysis.streaming import CampaignAccumulator
 from repro.core.clock import HOUR
 from repro.core.engine import Simulator
+from repro.core.errors import AnalysisError
 from repro.core.rand import RandomStreams
 from repro.core.records import (
     BootRecord,
@@ -132,7 +132,7 @@ class TestOutputFailureAnalysis:
             UserReportRecord(9000.0, "unstable_behavior"),
         ]
         dataset = dataset_from_records({"p": records}, end_time=240 * HOUR)
-        stats = compute_output_failures(dataset)
+        stats = build_report(dataset).output_failures
         assert stats.report_count == 3
         assert stats.reports_by_kind == {
             "output_failure": 2,
@@ -148,7 +148,7 @@ class TestOutputFailureAnalysis:
             UserReportRecord(90000.0, "output_failure"),  # far from any panic
         ]
         dataset = dataset_from_records({"p": records}, end_time=1000 * HOUR)
-        stats = compute_output_failures(dataset, window=300.0)
+        stats = build_report(dataset, window=300.0).output_failures
         assert stats.panic_correlated_fraction == pytest.approx(0.5)
         assert stats.chance_fraction < 0.001
         assert stats.correlation_lift > 100
@@ -157,7 +157,7 @@ class TestOutputFailureAnalysis:
         dataset = dataset_from_records(
             {"p": [boot(0.0, "NONE", 0.0)]}, end_time=HOUR
         )
-        stats = compute_output_failures(dataset)
+        stats = build_report(dataset).output_failures
         assert stats.report_count == 0
         assert stats.report_interval_days == float("inf")
         assert stats.panic_correlated_fraction == 0.0
@@ -166,8 +166,8 @@ class TestOutputFailureAnalysis:
         dataset = dataset_from_records(
             {"p": [boot(0.0, "NONE", 0.0)]}, end_time=HOUR
         )
-        with pytest.raises(ValueError):
-            compute_output_failures(dataset, window=0.0)
+        with pytest.raises(AnalysisError):
+            CampaignAccumulator.from_dataset(dataset, window=0.0)
 
     def test_covered_seconds_merges_overlaps(self):
         # [50,150] U [100,200] = [50,200] -> 150 s.
@@ -179,17 +179,17 @@ class TestOutputFailureAnalysis:
 
 class TestOnRealCampaign:
     def test_reports_collected(self, paper_campaign):
-        stats = compute_output_failures(paper_campaign.dataset)
+        stats = paper_campaign.report.output_failures
         assert stats.report_count > 30
 
     def test_reports_are_a_lower_bound(self, paper_campaign):
         truth = paper_campaign.ground_truth
-        stats = compute_output_failures(paper_campaign.dataset)
+        stats = paper_campaign.report.output_failures
         assert stats.report_count <= truth["misbehaviors_perceived"]
         assert stats.report_count == pytest.approx(truth["user_reports"], abs=2)
 
     def test_panic_correlation_above_chance(self, paper_campaign):
         """Footnote 5 of the paper: isolated panics relate to output
         failures.  Reports must correlate with panics far above chance."""
-        stats = compute_output_failures(paper_campaign.dataset)
+        stats = paper_campaign.report.output_failures
         assert stats.correlation_lift > 10.0

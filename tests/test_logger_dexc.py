@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.ingest import Dataset
-from repro.analysis.panics import compute_panic_table
+from repro.analysis.report import build_report
 from repro.core.clock import MONTH
 from repro.core.engine import Simulator
 from repro.core.rand import RandomStreams
@@ -95,8 +95,8 @@ class TestDexcOnFleet:
         dexc = Dataset.from_lines(
             fleet.dexc_dataset(), end_time=fleet.config.duration
         )
-        table_full = compute_panic_table(full)
-        table_dexc = compute_panic_table(dexc)
+        table_full = build_report(full).panic_table
+        table_dexc = build_report(dexc).panic_table
         # D_EXC sees every panic the full logger saw (and possibly the
         # MAOFF-window ones the full logger missed).
         assert table_dexc.total >= table_full.total

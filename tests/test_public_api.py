@@ -114,6 +114,25 @@ def test_package_all_entries_resolve(name):
         assert hasattr(package, symbol), f"{name}.{symbol} missing"
 
 
+def test_analysis_exports_one_report_path():
+    """The report sections come from ``build_report`` (the per-phone
+    fold); no per-section batch builder is exported beside it."""
+    import repro.analysis as analysis
+
+    assert {"build_report", "CampaignAccumulator"} <= set(analysis.__all__)
+    for name in (
+        "compute_availability",
+        "compute_panic_table",
+        "compute_bursts",
+        "compute_hl_relationship",
+        "compute_activity_table",
+        "compute_running_apps",
+        "compute_output_failures",
+    ):
+        assert name not in analysis.__all__
+        assert not hasattr(analysis, name)
+
+
 def test_version_string():
     import repro
 

@@ -381,9 +381,10 @@ def test_in_process_run_resumes_worker_commits(tmp_path, config, monolithic):
 
 def test_corrupt_committed_shard_is_recomputed(tmp_path, config, monolithic):
     """A torn commit (truncated JSON), a foreign payload (a campaign
-    summary where a shard result belongs) and a shard whose accumulator
-    is an older wire format are skipped at scan time — their ranges are
-    recomputed, never trusted."""
+    summary where a shard result belongs), a shard whose accumulator
+    is an older wire format and one whose accumulator was folded with
+    another knob than the campaign's are skipped at scan time — their
+    ranges are recomputed, never trusted."""
     run_sharded_campaign(
         config, shards=4, workers=2, executor="workqueue",
         spill_dir=str(tmp_path),
@@ -430,11 +431,22 @@ def test_corrupt_committed_shard_is_recomputed(tmp_path, config, monolithic):
     }
     with open(stale, "w", encoding="utf-8") as handle:
         json.dump(entry, handle)
+    # A valid accumulator whose self-shutdown threshold is not the one
+    # the campaign folds with: merging it would abort the whole run.
+    knob = commits.path_for(shard_configs[0])
+    with open(knob, "r", encoding="utf-8") as handle:
+        entry = json.load(handle)
+    entry["summary"]["accumulator"]["threshold"] = 200.0
+    with open(knob, "w", encoding="utf-8") as handle:
+        json.dump(entry, handle)
     resumed = run_sharded_campaign(
         config, shards=4, workers=2, executor="workqueue",
         spill_dir=str(tmp_path),
     )
-    assert resumed.stats.resumed_shards == 1
+    assert resumed.stats.resumed_shards == 0
+    with open(knob, "r", encoding="utf-8") as handle:
+        planted = json.load(handle)["summary"]["accumulator"]
+    assert planted["threshold"] == 360.0
     # The stale range ran again and its commit now holds the current format.
     with open(stale, "r", encoding="utf-8") as handle:
         rerun = json.load(handle)["summary"]["accumulator"]

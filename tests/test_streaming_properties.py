@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.coalescence import coalesce, hl_events_from_study
 from repro.analysis.report import build_report
+from repro.analysis.shutdowns import compute_shutdown_study
 from repro.analysis.streaming import CampaignAccumulator
 from repro.core.errors import AnalysisError
 from tests.helpers import dataset_from_records, random_fleet_records
@@ -135,6 +137,53 @@ def test_rejects_nonpositive_knobs():
         CampaignAccumulator(END_TIME, window=0.0)
     with pytest.raises(AnalysisError):
         CampaignAccumulator(END_TIME, gap=-1.0)
+    with pytest.raises(AnalysisError):
+        CampaignAccumulator(END_TIME, threshold=-5.0)
+    for bad in (float("nan"), float("inf")):
+        for knobs in (
+            {"end_time": bad},
+            {"window": bad},
+            {"gap": bad},
+            {"threshold": bad},
+        ):
+            with pytest.raises(AnalysisError, match="positive and finite"):
+                CampaignAccumulator(**{"end_time": END_TIME, **knobs})
+
+
+@given(
+    seed=seeds,
+    phones=phone_counts,
+    window=st.sampled_from([300.0, 200_000.0, 1_000_000.0]),
+)
+@settings(max_examples=25, deadline=None)
+def test_per_phone_matching_equals_global_coalescence(seed, phones, window):
+    """The fold matches each panic against its own phone's HL events;
+    the Figure 4 :func:`coalesce` matches against the global event
+    list.  Both must pick the same HL kind for every panic, with and
+    without user shutdowns among the events."""
+    dataset = dataset_from_records(
+        random_fleet_records(seed, phones, END_TIME), END_TIME
+    )
+    acc = CampaignAccumulator.from_dataset(dataset, window=window)
+    study = compute_shutdown_study(dataset)
+
+    def matched_kinds(include_user_shutdowns):
+        events = hl_events_from_study(
+            study, include_user_shutdowns=include_user_shutdowns
+        )
+        result = coalesce(dataset, events, window)
+        return {
+            id(match.panic): match.hl_event.kind for match in result.matches
+        }
+
+    matched = matched_kinds(False)
+    matched_all = matched_kinds(True)
+    for phone_id, log in dataset.logs.items():
+        rows = acc.phones[phone_id]["panics"]
+        assert len(rows) == len(log.panics)
+        for panic, row in zip(log.panics, rows):
+            assert row[3] == matched.get(id(panic))
+            assert row[4] == (id(panic) in matched_all)
 
 
 def test_from_dict_rejects_unknown_format_version():
