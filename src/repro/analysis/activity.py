@@ -15,7 +15,9 @@ stays open for a bounded grace interval).
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.ingest import PhoneLog
@@ -25,6 +27,7 @@ from repro.core.records import (
     ACTIVITY_VOICE_CALL,
     PHASE_END,
     PHASE_START,
+    ActivityRecord,
 )
 
 ACTIVITY_UNSPECIFIED = "unspecified"
@@ -80,6 +83,54 @@ def activity_at(intervals: Dict[str, List[Interval]], time: float) -> str:
         if index >= 0 and candidates[index].contains(time):
             return kind
     return ACTIVITY_UNSPECIFIED
+
+
+class ActivityTimeline:
+    """One phone's activity records in time order, for point queries.
+
+    :meth:`at` answers ``activity_at(activity_intervals(log), time)``
+    without reconstructing every interval: it bisects the sorted record
+    times, and ``activity_at`` only ever reads the interval opened by
+    the last start of a kind at or before ``time``.  That interval
+    closes at the next record of its kind: at that record's time if it
+    is an end, after the grace otherwise (another start, or none).
+    """
+
+    __slots__ = ("_records", "_times")
+
+    def __init__(self, activities: Sequence[ActivityRecord]) -> None:
+        records = list(activities)
+        times = [record.time for record in records]
+        if any(map(operator.gt, times, islice(times, 1, None))):
+            # Out of order (a skewed or reordered log): the same stable
+            # sort activity_intervals applies.
+            records.sort(key=operator.attrgetter("time"))
+            times.sort()
+        self._records = records
+        self._times = times
+
+    def at(self, time: float) -> str:
+        """The registered activity at ``time`` (voice wins over message)."""
+        records = self._records
+        cut = bisect.bisect_right(self._times, time)
+        for kind in (ACTIVITY_VOICE_CALL, ACTIVITY_MESSAGE):
+            index = cut - 1
+            while index >= 0:
+                record = records[index]
+                if record.kind == kind and record.phase == PHASE_START:
+                    break
+                index -= 1
+            else:
+                continue
+            end = record.time + OPEN_TRANSACTION_GRACE
+            for later in islice(records, index + 1, None):
+                if later.kind == kind:
+                    if later.phase == PHASE_END:
+                        end = later.time
+                    break
+            if time <= end:
+                return kind
+        return ACTIVITY_UNSPECIFIED
 
 
 @dataclass

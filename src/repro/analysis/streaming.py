@@ -34,11 +34,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from repro.analysis.activity import (
-    activity_at,
-    activity_intervals,
-    activity_table_from_pairs,
-)
+from repro.analysis.activity import ActivityTimeline, activity_table_from_pairs
 from repro.analysis.availability import availability_from_observations
 from repro.analysis.bursts import DEFAULT_BURST_GAP, BurstStats, phone_bursts
 from repro.analysis.coalescence import (
@@ -161,17 +157,17 @@ class CampaignAccumulator:
                 include_user_shutdowns=True,
             )
             # The joins are built only where a row reads them: the
-            # activity intervals for a matched panic, the RUNAPP times
+            # activity timeline for a matched panic, the RUNAPP times
             # for a phone with panics.
-            intervals = None
+            timeline = None
             runapp_times = [snap.time for snap in log.runapps]
             for panic in log.panics:
                 nearest = matched_event(events, panic.time, self.window)
                 activity = None
                 if nearest is not None:
-                    if intervals is None:
-                        intervals = activity_intervals(log)
-                    activity = activity_at(intervals, panic.time)
+                    if timeline is None:
+                        timeline = ActivityTimeline(log.activities)
+                    activity = timeline.at(panic.time)
                 panics.append(
                     [
                         panic.time,

@@ -55,6 +55,17 @@ Invariants the batch layout maintains (exercised by
   clock left at the failing event's timestamp, that event counted as
   fired, and every remaining event still queued — a subsequent
   ``run_until`` resumes exactly where the run stopped.
+
+One engine, many runs
+---------------------
+
+A :class:`~repro.phone.fleet.Fleet` keeps one simulator and runs its
+phones on it one after another, each alone from time 0 to the horizon.
+Between phones, :meth:`Simulator.rewind` drops the finished phone's
+pending events and sets the clock back.  The lifetime counters are
+never reset, so ``events_fired`` and friends stay fleet totals, and a
+phone's events keep the same relative ``(time, priority, seq)`` order
+they would have on an engine of their own.
 """
 
 from __future__ import annotations
@@ -161,6 +172,7 @@ class Simulator:
         self, start: float = 0.0, tick_width: float = DEFAULT_TICK_WIDTH
     ) -> None:
         self.clock = SimClock(start)
+        self._start = self.clock._now
         self._heap: List[_HeapEntry] = []
         self._seq = 0
         self._events_fired = 0
@@ -470,6 +482,42 @@ class Simulator:
         try:
             while self.step():
                 pass
+        finally:
+            self._running = False
+
+    def rewind(self) -> None:
+        """Drop every pending event and set the clock back to its start.
+
+        The fleet reuses one simulator for all its phones, one after
+        another: once a phone has run to the horizon, what it still had
+        queued (its next transfer tick, timers past the horizon) is
+        dropped here and the next phone starts where the first did.  Dropped
+        events are detached without firing or counting as cancelled, and
+        their callbacks are released, so a handle a model kept does not
+        keep its phone alive.  The lifetime counters (fired, scheduled,
+        cancelled, compactions) keep their totals, and sequence numbers
+        keep counting, so events keep their relative order within each
+        run.
+
+        Raises:
+            SimulationError: if called from inside a run loop.
+        """
+        self._guard_reentry()
+        try:
+            for entries in (self._heap, self._run_batch, *self._wheel.values()):
+                for entry in entries:
+                    event = entry[3]
+                    event._sim = None
+                    event.fn = None
+                    event.args = ()
+            self._heap.clear()
+            self._run_batch.clear()
+            self._wheel.clear()
+            self._tick_heap.clear()
+            self._wheel_count = 0
+            self._cancelled_count = 0
+            self.clock._now = self._start
+            self._active_tick = self._bucket_index(self.clock._now) if self._tick else 0
         finally:
             self._running = False
 

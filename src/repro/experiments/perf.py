@@ -249,8 +249,8 @@ def measure_live_overhead(
     with the leading arm alternating per repeat (off/on, then on/off,
     ...) after one untimed warmup, so machine drift and cache warming
     hit both arms symmetrically.  The *on* arm installs a
-    process-current :class:`OpLogWriter` whose heartbeats ride the
-    fleet's periodic-transfer callback, exactly as a ``--live`` worker
+    process-current :class:`OpLogWriter` whose heartbeats ride each
+    phone's periodic-transfer callback, exactly as a ``--live`` worker
     does.  Best-of CPU seconds is the gate metric (immune to scheduler
     noise); the returned dict is the ``live_overhead`` section of
     ``BENCH_campaign.json``.

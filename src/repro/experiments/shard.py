@@ -377,8 +377,6 @@ class ShardTask:
         if writer is not None:
             writer.end_stream(
                 phone_range=list(result.phone_range),
-                sim_now=config.fleet.duration,
-                duration=config.fleet.duration,
                 events_fired=result.events_fired,
             )
         return result

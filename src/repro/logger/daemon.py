@@ -124,6 +124,11 @@ class FailureDataLogger:
         self.heartbeat.halt(self.sim.now)
         self._detach()
 
+    def detach(self) -> None:
+        """Stop observing without writing a final beat (the phone has
+        left the campaign; its logs are already shipped)."""
+        self._detach()
+
     def record_user_report(self, kind: str) -> bool:
         """§7 extension: the user reports a perceived failure.
 

@@ -218,10 +218,14 @@ class OpLogWriter:
     def heartbeat_from_fleet(self, fleet: Any) -> bool:
         """Sample a live :class:`~repro.phone.fleet.Fleet` mid-run.
 
-        Called from the fleet's periodic-transfer callback — already a
-        scheduled sim event, so observing here adds no events, no
-        random draws, and no registry writes.  Everything sampled is
-        intrinsic state the simulation maintains anyway.
+        Called from the running phone's periodic-transfer callback —
+        already a scheduled sim event, so observing here adds no events,
+        no random draws, and no registry writes.  Everything sampled is
+        intrinsic state the simulation maintains anyway: the finished
+        phones' tallies plus the running phone's own counts, so every
+        field is cumulative.  The tallies are summed only once the
+        throttle lets a heartbeat through, so a throttled call is O(1).
+        ``progress`` is ``(phones done + now / duration) / phones``.
         """
         if self.stream_id is None:
             # A monolithic campaign (no ShardTask wrapping): open a
@@ -231,17 +235,23 @@ class OpLogWriter:
             )
         if not _due(self._last_flush, self.clock(), self.min_interval):
             return False
-        freezes = panics = boots = 0
-        for instance in fleet.phones:
+        freezes = boots = panics = 0
+        for tally in fleet.tallies:
+            truth = tally.ground_truth
+            freezes += int(truth["freezes"])
+            boots += int(truth["boots"])
+            panics += int(truth["panics"])
+        instance = fleet.phone
+        if instance is not None:
             freezes += instance.device.freeze_count
             boots += instance.device.boot_count
             panics += instance.faults.panics_injected
         start, stop = fleet.config.resolved_range()
+        share = min(fleet.sim.now / fleet.config.duration, 1.0)
         return self.heartbeat(
             throttled=False,
             phone_range=[start, stop],
-            sim_now=fleet.sim.now,
-            duration=fleet.config.duration,
+            progress=(len(fleet.tallies) + share) / (stop - start),
             events_fired=fleet.sim.events_fired,
             freezes=freezes,
             boots=boots,
@@ -358,21 +368,13 @@ class WorkerRow:
     stream: str
     role: str
     phone_range: Optional[Tuple[int, int]]
-    sim_now: float
-    duration: float
     events_fired: int
     events_per_second: float
     rss_kb: int
     wall: float
     done: bool
-
-    @property
-    def progress(self) -> float:
-        if self.done:
-            return 1.0
-        if self.duration <= 0:
-            return 0.0
-        return min(1.0, self.sim_now / self.duration)
+    #: Share of the stream's phone range simulated so far, in [0, 1].
+    progress: float
 
 
 @dataclass
@@ -677,8 +679,6 @@ class LiveFolder:
                 stream=stream_id,
                 role=state.role,
                 phone_range=span,
-                sim_now=float(state.latest.get("sim_now", 0.0) or 0.0),
-                duration=float(state.latest.get("duration", 0.0) or 0.0),
                 events_fired=int(state.latest.get("events_fired", 0) or 0),
                 events_per_second=_windowed_rate(
                     state.samples, now, self.window
@@ -686,6 +686,11 @@ class LiveFolder:
                 rss_kb=int(state.latest.get("rss_kb", 0) or 0),
                 wall=float(state.latest.get("wall", 0.0) or 0.0),
                 done=done,
+                progress=(
+                    1.0
+                    if done
+                    else min(1.0, float(state.latest.get("progress", 0.0) or 0.0))
+                ),
             )
             if not committed:
                 # In-flight: counts toward totals; committed streams are
@@ -953,7 +958,7 @@ def render_dashboard(snapshot: LiveSnapshot, width: int = 78) -> str:
     if active:
         lines.append("")
         lines.append(
-            f"{'stream':<28} {'range':>14} {'sim%':>6} "
+            f"{'stream':<28} {'range':>14} {'done%':>6} "
             f"{'events':>12} {'ev/s':>10} {'rss MiB':>8}"
         )
         for row in active[:16]:

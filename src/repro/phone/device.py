@@ -424,6 +424,25 @@ class SmartPhone:
             os.teardown()
             self.os = None
 
+    def retire(self) -> None:
+        """The phone leaves the campaign for good: drop a live runtime
+        and daemon, and the listeners (each a bound method of a model
+        that holds this phone), so that refcount frees it.
+
+        The daemon detaches its observers but is not halted: the phone
+        has been tallied and synced, and a halt would write one more
+        beat.
+        """
+        if self.daemon is not None:
+            self.daemon.detach()
+            self.daemon = None
+        self._retire_os()
+        self._app_procs.clear()
+        self.boot_listeners.clear()
+        self.shutdown_listeners.clear()
+        self.freeze_listeners.clear()
+        self.activity_listeners.clear()
+
     def bus_stats(self) -> Tuple[int, int]:
         """Lifetime ``(publishes, deliveries)`` across all power cycles,
         including the live runtime's bus if the phone is on."""

@@ -101,9 +101,68 @@ class PhoneInstance:
         """Wall-clock hours from enrollment to campaign end."""
         return max(campaign_end - self.enrolled_at, 0.0) / 3600.0
 
+    def tally(self, campaign_end: float, events_fired: int) -> "PhoneTally":
+        """What of this phone outlives it: its ground-truth partial,
+        its share of the fleet counters and its D_EXC lines."""
+        device, user = self.device, self.user
+        publishes, deliveries = device.bus_stats()
+        dexc = self.dexc
+        return PhoneTally(
+            phone_id=self.phone_id,
+            ground_truth={
+                "misbehaviors_perceived": float(user.misbehaviors_perceived),
+                "user_reports": float(user.reports_filed),
+                "freezes": float(device.freeze_count),
+                "self_shutdowns": float(device.shutdown_counts["self"]),
+                "user_shutdowns": float(device.shutdown_counts["user"]),
+                "lowbt_shutdowns": float(device.shutdown_counts["lowbt"]),
+                "panics": float(self.faults.panics_injected),
+                "boots": float(device.boot_count),
+                "observed_hours": self.observed_hours(campaign_end),
+            },
+            counters={
+                "events_fired": events_fired,
+                "heartbeats_written": device.beats.writes,
+                "bus_publishes": publishes,
+                "bus_deliveries": deliveries,
+            },
+            shutdowns=dict(device.shutdown_counts),
+            dexc_lines=(
+                dexc.storage.lines()
+                if dexc is not None and dexc.storage.line_count
+                else None
+            ),
+        )
+
+
+@dataclass
+class PhoneTally:
+    """What a retired phone leaves behind, in a few numbers.
+
+    ``ground_truth`` is the phone's partial of :meth:`Fleet.ground_truth`;
+    ``counters`` and ``shutdowns`` are its share of
+    :meth:`Fleet.sample_metrics` (with the events its run fired);
+    ``dexc_lines`` is its D_EXC baseline log, when it has one.
+    """
+
+    phone_id: str
+    ground_truth: Dict[str, float]
+    counters: Dict[str, int]
+    shutdowns: Dict[str, int]
+    dexc_lines: Optional[List[str]] = None
+
 
 class Fleet:
-    """Builds, runs, and collects a whole campaign."""
+    """Builds, runs, and collects a whole campaign, one phone at a time.
+
+    Phones share nothing but the collection server and the telemetry:
+    every phone draws from random streams forked by its id, and no
+    phone reads another's state.  So :meth:`run` simulates them one
+    after another on one reused :class:`Simulator`, each alone from
+    time 0 to the horizon, and keeps of a finished phone only its
+    :class:`PhoneTally`.  At most one phone's object graph is resident
+    at any time, whatever the fleet size.
+    """
 
     def __init__(
         self,
@@ -117,6 +176,8 @@ class Fleet:
         #: tracer's sim clock binds here so spans and instants recorded
         #: anywhere in the campaign stamp this fleet's virtual time.
         self.telemetry = current_telemetry()
+        #: One engine for every phone (see :meth:`Simulator.rewind`);
+        #: its counters are fleet totals.
         self.sim = Simulator()
         if self.telemetry.tracing:
             self.telemetry.tracer.bind_clock(self.sim.clock.read)
@@ -130,72 +191,111 @@ class Fleet:
         #: with and without it are bit-identical.
         self._live = current_live_writer()
         self.streams = RandomStreams(seed)
-        self.phones: List[PhoneInstance] = []
+        #: Enrollment time of each phone of the range, in index order.
+        self.enrollments: List[float] = []
+        #: The phone being simulated, while :meth:`run` is in progress.
+        self.phone: Optional[PhoneInstance] = None
+        #: One tally per finished phone, in phone-index order.
+        self.tallies: List[PhoneTally] = []
         self._built = False
         self._ran = False
 
     # -- construction ------------------------------------------------------------
 
     def build(self) -> None:
-        """Create phones, users, fault models; schedule enrollments."""
+        """Draw every phone's enrollment time, in phone-index order.
+
+        Phones themselves are built by :meth:`run`, each just before it
+        is simulated.  The draws come from one shared ``enrollment``
+        stream; a slice first replays the draws earlier phone indices
+        consumed, so its phones enroll at the monolithic run's exact
+        times.
+        """
         if self._built:
             raise ValueError("fleet already built")
         self._built = True
         cfg = self.config
         start, stop = cfg.resolved_range()
         enroll_stream = self.streams.stream("enrollment")
-        # Replay the enrollment draws earlier phone indices consumed so
-        # this slice's draws land on the monolithic run's exact variates.
         enroll_stream.discard(start)
-        for index in range(start, stop):
-            phone_id = f"phone-{index:02d}"
-            phone_streams = self.streams.fork(phone_id)
-            profile = make_profile(phone_id, phone_streams)
-            instance = PhoneInstance(
-                self.sim,
-                profile,
-                phone_streams,
-                campaign_end=cfg.duration,
-                logger_config=cfg.logger,
-                fault_config=cfg.faults,
-            )
-            instance.user.report_compliance_override = (
-                cfg.report_compliance_override
-            )
-            if cfg.attach_dexc:
-                instance.dexc = attach_dexc(instance.device)
-            fraction = enroll_stream.uniform(
-                cfg.enroll_fraction_min, cfg.enroll_fraction_max
-            )
-            instance.enrolled_at = fraction * cfg.duration
-            instance.user.enroll(instance.enrolled_at)
-            self.phones.append(instance)
-        if cfg.transfer_interval > 0:
-            self.sim.schedule_after(cfg.transfer_interval, self._periodic_transfer)
+        self.enrollments = [
+            enroll_stream.uniform(cfg.enroll_fraction_min, cfg.enroll_fraction_max)
+            * cfg.duration
+            for _ in range(start, stop)
+        ]
+
+    def _build_phone(self, index: int, enrolled_at: float) -> PhoneInstance:
+        """Create phone ``index``'s profile, models and enrollment."""
+        cfg = self.config
+        phone_id = f"phone-{index:02d}"
+        phone_streams = self.streams.fork(phone_id)
+        profile = make_profile(phone_id, phone_streams)
+        instance = PhoneInstance(
+            self.sim,
+            profile,
+            phone_streams,
+            campaign_end=cfg.duration,
+            logger_config=cfg.logger,
+            fault_config=cfg.faults,
+        )
+        instance.user.report_compliance_override = cfg.report_compliance_override
+        if cfg.attach_dexc:
+            instance.dexc = attach_dexc(instance.device)
+        instance.enrolled_at = enrolled_at
+        instance.user.enroll(enrolled_at)
+        return instance
 
     # -- execution ------------------------------------------------------------------
 
     def run(self) -> None:
-        """Run the whole campaign and perform the final log transfer.
+        """Run the campaign one phone at a time, then flush the link.
 
-        The cyclic garbage collector is suspended for the duration of
-        the event loop: a paper-scale run allocates millions of
-        records, heap entries, and short-lived processes, and repeated
-        generation-2 passes over that growing object graph cost ~10% of
-        wall time while freeing almost nothing mid-run.  Nothing waits
-        for collection to resume: each power cycle's runtime is freed
-        by refcount when it retires, so the run leaves no cyclic
-        garbage behind.
+        For each phone of the range, in index order: build it, schedule
+        its own periodic-transfer tick, run it to ``config.duration``,
+        ship its remaining log lines, fold it into its
+        :class:`PhoneTally` and retire it, so that refcount frees it
+        before the next phone is built.  A phone's events keep their
+        relative ``(time, priority, seq)`` order, so every phone's
+        output is what it would be on an engine of its own.
+
+        The cyclic garbage collector is suspended for the duration:
+        a paper-scale run allocates millions of records, heap entries,
+        and short-lived processes, and repeated generation-2 passes
+        over that object graph cost ~10% of wall time while freeing
+        almost nothing mid-run.  Nothing waits for collection to
+        resume: power cycles and finished phones break their reference
+        cycles when they retire, so the run leaves no cyclic garbage.
         """
         if not self._built:
             self.build()
         if self._ran:
             raise ValueError("campaign already ran")
         self._ran = True
+        start, _stop = self.config.resolved_range()
         with gc_suspended():
-            self.sim.run_until(self.config.duration)
-        self.sync_all()
+            for offset, enrolled_at in enumerate(self.enrollments):
+                self._run_phone(start + offset, enrolled_at)
+        # The campaign ends at the horizon: what runs after (the link
+        # flush, ingest, the report) stamps that virtual time.
+        self.sim.run_until(self.config.duration)
         self.collector.finalize()
+
+    def _run_phone(self, index: int, enrolled_at: float) -> None:
+        cfg = self.config
+        sim = self.sim
+        fired = sim.events_fired
+        self.phone = instance = self._build_phone(index, enrolled_at)
+        if cfg.transfer_interval > 0:
+            sim.schedule_after(cfg.transfer_interval, self._periodic_transfer)
+        sim.run_until(cfg.duration)
+        self.sync_all()
+        self.tallies.append(instance.tally(cfg.duration, sim.events_fired - fired))
+        self.phone = None
+        # Cyclic GC is suspended, so a phone left in a cycle would never
+        # be freed: drop its pending events and its listeners, and
+        # refcount frees it here.
+        sim.rewind()
+        instance.device.retire()
 
     def _periodic_transfer(self) -> None:
         self.sync_all()
@@ -206,30 +306,25 @@ class Fleet:
             self.sim.schedule_at(next_time, self._periodic_transfer)
 
     def sync_all(self) -> None:
-        """Ship every phone's new log lines to the collection server."""
+        """Ship the running phone's new log lines to the collection server."""
+        instance = self.phone
+        if instance is None:
+            return
         tel = self.telemetry
         if not tel.tracing:
-            for instance in self.phones:
-                self.collector.sync(instance.device.storage)
+            self.collector.sync(instance.device.storage)
             return
         with tel.tracer.span(
-            "transfer.sync_all", category="transfer", track="transfer"
-        ):
-            for instance in self.phones:
-                with tel.tracer.span(
-                    f"sync {instance.phone_id}",
-                    category="transfer",
-                    track="transfer",
-                ) as span:
-                    shipped = self.collector.sync(instance.device.storage)
-                    span.args = {"entries": shipped}
+            f"sync {instance.phone_id}", category="transfer", track="transfer"
+        ) as span:
+            span.args = {"entries": self.collector.sync(instance.device.storage)}
 
     def dexc_dataset(self) -> Dict[str, List[str]]:
         """phone id -> D_EXC baseline lines (empty unless attach_dexc)."""
         return {
-            instance.phone_id: instance.dexc.storage.lines()
-            for instance in self.phones
-            if instance.dexc is not None and instance.dexc.storage.line_count
+            tally.phone_id: tally.dexc_lines
+            for tally in self.tallies
+            if tally.dexc_lines is not None
         }
 
     # -- telemetry ----------------------------------------------------------------
@@ -238,9 +333,9 @@ class Fleet:
         """Dump fleet-lifetime counters into ``registry``.
 
         Everything here is sampled once at campaign end from state the
-        simulation maintains anyway (simulator counters, device
-        lifecycle counts, persistent beats files, collection-server
-        stats), so it costs nothing on the event-loop hot path.
+        simulation maintains anyway (simulator counters, the finished
+        phones' tallies, collection-server stats), so it costs nothing
+        on the event-loop hot path.
         """
         sim = self.sim
         for name, value, help_text in (
@@ -275,16 +370,16 @@ class Fleet:
         deliveries = registry.counter(
             "bus.delivery_total", help="handler invocations (publish fan-out)"
         ).series()
-        for instance in self.phones:
-            freezes.value += float(instance.device.freeze_count)
-            boots.value += float(instance.device.boot_count)
-            panics.value += float(instance.faults.panics_injected)
-            beats.value += float(instance.device.beats.writes)
-            reports.value += float(instance.user.reports_filed)
-            bus_publishes, bus_deliveries = instance.device.bus_stats()
-            publishes.value += float(bus_publishes)
-            deliveries.value += float(bus_deliveries)
-            for kind, count in instance.device.shutdown_counts.items():
+        for tally in self.tallies:
+            truth, counters = tally.ground_truth, tally.counters
+            freezes.value += truth["freezes"]
+            boots.value += truth["boots"]
+            panics.value += truth["panics"]
+            beats.value += float(counters["heartbeats_written"])
+            reports.value += truth["user_reports"]
+            publishes.value += float(counters["bus_publishes"])
+            deliveries.value += float(counters["bus_deliveries"])
+            for kind, count in tally.shutdowns.items():
                 if count:
                     shutdowns.series(kind=kind).value += float(count)
         self.collector.sample_metrics(registry)
@@ -299,21 +394,7 @@ class Fleet:
         the monolithic totals bit-for-bit (the float fold order is the
         same one :meth:`ground_truth` uses).
         """
-        duration = self.config.duration
-        return [
-            {
-                "misbehaviors_perceived": float(p.user.misbehaviors_perceived),
-                "user_reports": float(p.user.reports_filed),
-                "freezes": float(p.device.freeze_count),
-                "self_shutdowns": float(p.device.shutdown_counts["self"]),
-                "user_shutdowns": float(p.device.shutdown_counts["user"]),
-                "lowbt_shutdowns": float(p.device.shutdown_counts["lowbt"]),
-                "panics": float(p.faults.panics_injected),
-                "boots": float(p.device.boot_count),
-                "observed_hours": p.observed_hours(duration),
-            }
-            for p in self.phones
-        ]
+        return [tally.ground_truth for tally in self.tallies]
 
     def ground_truth(self) -> Dict[str, float]:
         """Simulator-side counters (what the analysis should recover)."""

@@ -86,8 +86,10 @@ class FaultyLink:
         self.stats = InjectionStats()
         self._streams = RandomStreams(plan.seed)
         self._skew: Dict[str, float] = {}
-        #: Batches withheld to be delivered after a later one (reorder).
-        self._held: List[TransferBatch] = []
+        #: Per phone, batches withheld to be delivered after a later
+        #: one of the same phone (reorder).  Keyed by phone, so a
+        #: release never depends on how phones' syncs interleave.
+        self._held: Dict[str, List[TransferBatch]] = {}
 
     def _record_fault(self, layer: str, kind: str, phone_id: str, count: int = 1) -> None:
         """Mirror one injection into the campaign telemetry.
@@ -133,7 +135,7 @@ class FaultyLink:
             # only after a later one — the server must reassemble.
             self.stats.withheld_batches += 1
             self._record_fault("transfer", "withheld_batch", batch.phone_id)
-            self._held.append(prepared)
+            self._held.setdefault(batch.phone_id, []).append(prepared)
             return
         receive(prepared)
         if plan.duplicate_batch_rate and transfer.bernoulli(
@@ -142,16 +144,16 @@ class FaultyLink:
             self.stats.duplicated_batches += 1
             self._record_fault("transfer", "duplicated_batch", batch.phone_id)
             receive(prepared)
-        if self._held:
-            held, self._held = self._held, []
-            for late in held:
-                receive(late)
+        for late in self._held.pop(batch.phone_id, ()):
+            receive(late)
 
     def flush(self, receive: Callable[[TransferBatch], None]) -> None:
-        """Deliver every still-withheld batch (campaign teardown)."""
-        held, self._held = self._held, []
-        for late in held:
-            receive(late)
+        """Deliver every still-withheld batch (campaign teardown), phone
+        by phone in the order phones first withheld one."""
+        held, self._held = self._held, {}
+        for batches in held.values():
+            for late in batches:
+                receive(late)
 
     # -- storage layer ---------------------------------------------------------
 

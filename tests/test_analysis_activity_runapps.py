@@ -1,9 +1,14 @@
 """Tests for Table 3 (activity) and Table 4 / Figure 6 (running apps)."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.activity import (
     ACTIVITY_UNSPECIFIED,
+    ActivityTimeline,
     activity_at,
     activity_intervals,
 )
@@ -86,6 +91,42 @@ class TestActivityIntervals:
             ]
         )
         assert activity_at(activity_intervals(log), 120.0) == "voice_call"
+
+
+#: Activity records on a coarse time grid, so that ties, restarts,
+#: orphan ends and open transactions all come up; shuffled half the
+#: time, as a skewed or reordered log would be.
+_records = st.lists(
+    st.builds(
+        ActivityRecord,
+        st.integers(0, 40).map(lambda t: t * 50.0),
+        st.sampled_from(["voice_call", "message"]),
+        st.sampled_from(["start", "end"]),
+    ),
+    max_size=24,
+)
+
+
+class TestActivityTimeline:
+    @settings(max_examples=300, deadline=None)
+    @given(_records, st.lists(st.integers(-1, 2100), min_size=1, max_size=12))
+    def test_matches_the_interval_reconstruction(self, records, times):
+        """The timeline answers exactly what activity_at reads off the
+        reconstructed intervals, at record times and between them."""
+        log = SimpleNamespace(activities=records)
+        intervals = activity_intervals(log)
+        timeline = ActivityTimeline(records)
+        queries = [float(t) for t in times] + [r.time for r in records]
+        for time in queries:
+            assert timeline.at(time) == activity_at(intervals, time), time
+
+    def test_unsorted_log(self):
+        records = [
+            ActivityRecord(200.0, "voice_call", "end"),
+            ActivityRecord(100.0, "voice_call", "start"),
+        ]
+        assert ActivityTimeline(records).at(150.0) == "voice_call"
+        assert ActivityTimeline(records).at(250.0) == ACTIVITY_UNSPECIFIED
 
 
 class TestActivityTable:

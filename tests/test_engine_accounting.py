@@ -210,3 +210,81 @@ def test_interleaved_ops_keep_accounting_exact(ops, tick_width):
     sim.run()
     check()
     assert sim.pending_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# rewind: one engine, many runs (the fleet runs its phones one by one).
+# ---------------------------------------------------------------------------
+
+
+def _phone_run(sim, log, tag, count=40):
+    """A self-rescheduling chain plus one-shot timers, some past the
+    horizon and some cancelled: a stand-in for one phone's events."""
+
+    def tick(n):
+        log.append((tag, "tick", n, sim.now))
+        if n < count:
+            sim.schedule_after(13.0 + n % 5, tick, n + 1, priority=n % 3 - 1)
+
+    sim.schedule_at(0.0, tick, 0)
+    handles = [
+        sim.schedule_at(7.5 * k, lambda k=k: log.append((tag, "one", k, sim.now)))
+        for k in range(60)
+    ]
+    for handle in handles[::4]:
+        handle.cancel()
+    return handles
+
+
+@pytest.mark.parametrize("tick_width", TICK_WIDTHS)
+def test_rewind_runs_each_phone_as_on_its_own_engine(tick_width):
+    horizon = 300.0
+    shared = Simulator(tick_width=tick_width)
+    shared_log = []
+    kept = []
+    for tag in ("a", "b", "c"):
+        kept.extend(_phone_run(shared, shared_log, tag))
+        shared.run_until(horizon)
+        shared.rewind()
+        assert shared.now == 0.0 and shared.pending_count() == 0
+    own_log = []
+    fired = scheduled = cancelled = 0
+    for tag in ("a", "b", "c"):
+        reference = Simulator(tick_width=0)  # the pure-heap reference
+        _phone_run(reference, own_log, tag)
+        reference.run_until(horizon)
+        fired += reference.events_fired
+        scheduled += reference.events_scheduled
+        cancelled += reference.events_cancelled
+    assert shared_log == own_log
+    # The counters stay lifetime totals: dropped events are neither
+    # fired nor cancelled.
+    assert shared.events_fired == fired
+    assert shared.events_scheduled == scheduled
+    assert shared.events_cancelled == cancelled
+    # A dropped handle is detached and holds no callback any more.
+    dropped = [h for h in kept if h.time > horizon and not h.cancelled]
+    assert dropped
+    for handle in dropped:
+        assert handle.fn is None and handle.args == ()
+        handle.cancel()
+        assert not handle.cancelled
+    assert shared.events_cancelled == cancelled
+
+
+@pytest.mark.parametrize("tick_width", TICK_WIDTHS)
+def test_rewind_from_a_callback_is_refused(tick_width):
+    sim = Simulator(tick_width=tick_width)
+    errors = []
+
+    def rewind_inside():
+        try:
+            sim.rewind()
+        except SimulationError as exc:
+            errors.append(exc)
+
+    sim.schedule_at(5.0, rewind_inside)
+    sim.schedule_at(9.0, lambda: None)
+    sim.run_until(10.0)
+    assert len(errors) == 1
+    assert sim.events_fired == 2

@@ -115,9 +115,18 @@ class TestDexcOnFleet:
             assert log.runapps == []  # no Table 4 / Figure 6
             assert log.power == []
 
-    def test_dexc_disabled_by_default(self):
-        config = FleetConfig(phone_count=1, duration=MONTH)
+    def test_dexc_disabled_by_default(self, monkeypatch):
+        built = []
+        build_phone = Fleet._build_phone
+
+        def watched(self, index, enrolled_at):
+            instance = build_phone(self, index, enrolled_at)
+            built.append(instance.dexc)
+            return instance
+
+        monkeypatch.setattr(Fleet, "_build_phone", watched)
+        config = FleetConfig(phone_count=2, duration=MONTH)
         fleet = Fleet(config, seed=3)
-        fleet.build()
-        assert fleet.phones[0].dexc is None
+        fleet.run()
+        assert built == [None, None]
         assert fleet.dexc_dataset() == {}

@@ -233,6 +233,7 @@ class TestFleet:
         )
         fleet = Fleet(config, seed=3)
         fleet.build()
-        for instance in fleet.phones:
-            fraction = instance.enrolled_at / config.duration
+        assert len(fleet.enrollments) == 10
+        for enrolled_at in fleet.enrollments:
+            fraction = enrolled_at / config.duration
             assert 0.2 <= fraction <= 0.6

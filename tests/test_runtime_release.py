@@ -32,6 +32,7 @@ from repro.experiments.config import CampaignConfig
 from repro.experiments.shard import ShardTask, plan_shards
 from repro.logger.transfer import CollectionServer
 from repro.phone.device import STATE_FROZEN, STATE_OFF, SmartPhone
+from repro.phone.fleet import Fleet
 from repro.phone.profiles import make_profile
 from repro.robustness import FaultPlan, FaultyLink
 from repro.symbian.errors import AccessViolation, PanicRaised
@@ -155,6 +156,55 @@ def test_stop_logger_frees_daemon(phone):
     phone.graceful_shutdown("user")
     assert runtime() is None
     assert _alive(restarted) == []
+
+
+# -- finished phones ------------------------------------------------------------
+
+
+def test_finished_phone_is_freed_before_the_next_is_built(gc_off, monkeypatch):
+    """The fleet keeps one phone resident: phone k's SmartPhone (and its
+    models and flash) is dead by the time phone k+1 is built."""
+    config = CampaignConfig.quick(2005).fleet
+    alive_at_build = []
+    refs = []
+    build_phone = Fleet._build_phone
+
+    def watched(self, index, enrolled_at):
+        alive_at_build.append([ref() is not None for ref in refs])
+        instance = build_phone(self, index, enrolled_at)
+        refs.append(weakref.ref(instance.device))
+        refs.append(weakref.ref(instance.user))
+        refs.append(weakref.ref(instance.faults))
+        return instance
+
+    monkeypatch.setattr(Fleet, "_build_phone", watched)
+    fleet = Fleet(config, seed=2005)
+    fleet.run()
+    assert len(alive_at_build) == config.phone_count
+    assert all(not any(alive) for alive in alive_at_build), alive_at_build
+    assert _alive({str(i): ref for i, ref in enumerate(refs)}) == []
+    assert fleet.ground_truth()["boots"] > 0
+
+
+def test_retiring_a_finished_phone_writes_nothing(monkeypatch):
+    """``retire`` runs after the phone is tallied and synced, so it must
+    leave its beats file and flash as they are."""
+    config = CampaignConfig.quick(2005).fleet
+    seen = []
+    retire = SmartPhone.retire
+
+    def state(phone):
+        beats = phone.beats
+        return (beats.writes, beats.last_event(), phone.storage.line_count)
+
+    def watched(self):
+        before = state(self)
+        retire(self)
+        seen.append(state(self) == before)
+
+    monkeypatch.setattr(SmartPhone, "retire", watched)
+    Fleet(config, seed=2005).run()
+    assert seen == [True] * config.phone_count
 
 
 # -- whole campaigns -----------------------------------------------------------
