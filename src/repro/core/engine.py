@@ -7,54 +7,31 @@ campaign, so event ordering is total: events are ordered by
 scheduling time.  Two events scheduled for the same instant therefore
 fire in scheduling order unless a priority says otherwise.
 
-The queue stores ``(time, priority, seq, event)`` tuples rather than the
-event objects themselves: the sort key is computed once at scheduling
-time and every comparison is a C-level tuple comparison, instead of a
-Python ``__lt__`` call.  The sequence number is unique, so a comparison
-never reaches the event object.
+The queue is one binary heap of ``(time, priority, seq, event)`` tuples
+rather than the event objects themselves: the sort key is computed once
+at scheduling time and every comparison is a C-level tuple comparison,
+instead of a Python ``__lt__`` call.  The sequence number is unique, so
+a comparison never reaches the event object.  A phone runs alone on the
+engine (see below), so the heap holds one phone's pending set: a few
+dozen events on average.
 
-Batch execution (the hot-path layout)
--------------------------------------
-
-Internally the pending set is split between two structures with one
-total order across them:
-
-* a binary **heap** (the classic structure), holding events in the
-  *active calendar tick* and every event scheduled while a run loop is
-  draining that tick;
-* a **calendar wheel** — a dict from integer tick index
-  (``floor(time / tick_width)``) to an unsorted bucket list — holding
-  everything scheduled beyond the active tick.  ``schedule_*`` into the
-  future is then a dict lookup plus a list append instead of an
-  O(log n) sift.
-
-``run_until`` drains one tick at a time: the tick's bucket is sorted
-once (a C-level timsort over precomputed key tuples) into the *run
-batch* and consumed back-to-front, so runs of same-timestamp events are
-drained without re-entering the heap.  The heap participates in every
-selection (``batch[-1]`` vs ``heap[0]``), which is what makes
-re-entrant ``schedule_at(now)`` from a draining callback correct: an
-event scheduled into the active tick is routed to the heap and merges
-into the drain in exact ``(time, priority, seq)`` order.
-
-Invariants the batch layout maintains (exercised by
-``tests/test_engine_batch.py`` and ``tests/test_engine_accounting.py``):
+Invariants (exercised by ``tests/test_engine_batch.py`` and
+``tests/test_engine_accounting.py``):
 
 * **Order**: events fire in strictly non-decreasing ``(time, priority,
-  seq)`` order, bit-identical to a pure-heap engine
-  (``tick_width=0`` disables the wheel and is the reference).
-* **Bucket bounds**: a wheel entry in bucket ``b`` satisfies
-  ``b * tick_width <= time < (b + 1) * tick_width`` using the same
-  float products the drain loop uses for its tick limits, so no event
-  is ever drained in the wrong tick even at float boundaries.
-* **Residency**: every scheduled event is in exactly one of heap, wheel
-  bucket, or run batch until it fires or its cancelled entry is
-  dropped; ``pending_count()`` is exact at any instant, including from
-  inside a firing callback.
+  seq)`` order, including events a callback schedules for the instant
+  it is firing at.  Times are finite: a NaN or infinite time or delay
+  is refused before it takes a sequence number, and a NaN or infinite
+  ``run_until`` limit before anything fires.
+* **Residency**: every scheduled event stays in the heap until it fires
+  or its cancelled entry is dropped; ``pending_count()`` is exact at
+  any instant, including from inside a firing callback.
 * **Escape**: if a callback raises, the exception propagates with the
   clock left at the failing event's timestamp, that event counted as
   fired, and every remaining event still queued — a subsequent
   ``run_until`` resumes exactly where the run stopped.
+* **No nesting**: ``run_until``, ``run``, ``step`` and ``rewind`` refuse
+  to be called from inside a firing callback.
 
 One engine, many runs
 ---------------------
@@ -71,7 +48,7 @@ they would have on an engine of their own.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.clock import SimClock
 from repro.core.errors import SimulationError
@@ -82,11 +59,7 @@ from repro.observability.telemetry import current_telemetry
 #: timers up through the week-scale transfer cycle.
 HORIZON_BOUNDS = (1.0, 10.0, 60.0, 600.0, 3600.0, 21600.0, 86400.0, 604800.0)
 
-#: Default calendar-wheel tick width (seconds).  One hour keeps the
-#: paper-scale fleet at ~20 events per bucket; the width is exactly
-#: representable and its products with small tick indices are exact,
-#: so the bucket-bound invariant holds without float surprises.
-DEFAULT_TICK_WIDTH = 3600.0
+_INF = float("inf")
 
 
 class ScheduledEvent:
@@ -157,20 +130,13 @@ class Simulator:
         sim = Simulator()
         sim.schedule_after(10.0, callback, arg1)
         sim.run_until(3600.0)
-
-    ``tick_width`` sizes the calendar wheel in front of the heap;
-    ``0`` disables it entirely, leaving the pure-heap engine (the
-    reference implementation the batch drain is differentially tested
-    against).
     """
 
     #: Compact the queue once cancelled entries outnumber live ones
     #: (and the queue is big enough for a rebuild to be worth it).
     COMPACTION_MIN_SIZE = 64
 
-    def __init__(
-        self, start: float = 0.0, tick_width: float = DEFAULT_TICK_WIDTH
-    ) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self.clock = SimClock(start)
         self._start = self.clock._now
         self._heap: List[_HeapEntry] = []
@@ -180,24 +146,6 @@ class Simulator:
         self._cancels_total = 0
         self._compactions = 0
         self._running = False
-        if tick_width < 0:
-            raise SimulationError(f"negative tick_width: {tick_width}")
-        self._tick = float(tick_width)
-        #: tick index -> unsorted bucket of entries strictly beyond the
-        #: active tick.
-        self._wheel: Dict[int, List[_HeapEntry]] = {}
-        #: Min-heap of tick indices with (possibly stale) buckets.
-        self._tick_heap: List[int] = []
-        #: Entries resident in wheel buckets (not the run batch).
-        self._wheel_count = 0
-        #: The tick ``run_until`` is draining (or last drained);
-        #: schedule_* routes entries at or before it to the heap.
-        self._active_tick = self._bucket_index(self.clock._now) if self._tick else 0
-        #: Reverse-sorted remainder of the active tick's bucket.  Kept
-        #: on the instance so cancellation accounting and compaction
-        #: see in-flight entries, and so a run stopped mid-tick (by
-        #: ``t`` or an exception) resumes without re-sorting.
-        self._run_batch: List[_HeapEntry] = []
         # Telemetry: the horizon histogram handle is resolved once here;
         # below trace level it stays None and the scheduling hot path
         # pays a single branch.  Trace level, not metrics: observing
@@ -241,22 +189,6 @@ class Simulator:
         """Queue compaction passes performed so far."""
         return self._compactions
 
-    def _bucket_index(self, time: float) -> int:
-        """Tick index of ``time``, consistent with the drain limits.
-
-        ``//`` is the exact floor for well-behaved widths; the two
-        guards repair any float rounding so the bucket-bound invariant
-        (``b * tick <= time < (b + 1) * tick``) holds for *every*
-        width, using the same products the drain loop compares against.
-        """
-        tick = self._tick
-        b = int(time // tick)
-        if (b + 1) * tick <= time:
-            b += 1
-        elif b * tick > time:
-            b -= 1
-        return b
-
     def schedule_at(
         self,
         time: float,
@@ -267,41 +199,26 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``.
 
         Raises:
-            SimulationError: if ``time`` is before the current clock.
+            SimulationError: if ``time`` is before the current clock, or
+                is NaN or infinite.
         """
         time = float(time)
-        if time < self.clock._now:
-            raise SimulationError(
-                f"cannot schedule in the past: now={self.clock._now}, t={time}"
-            )
+        now = self.clock._now
+        # One chained comparison refuses the past, NaN and infinity.
+        if not (now <= time < _INF):
+            if time < now:
+                raise SimulationError(
+                    f"cannot schedule in the past: now={now}, t={time}"
+                )
+            raise SimulationError(f"non-finite event time: {time}")
         seq = self._seq
         self._seq = seq + 1
         event = ScheduledEvent(time, priority, seq, fn, args)
         event._sim = self
-        # _enqueue + _bucket_index inlined: this and schedule_after are
-        # the two scheduling hot paths (~200k calls per paper campaign).
-        tick = self._tick
-        if tick:
-            b = int(time // tick)
-            if (b + 1) * tick <= time:
-                b += 1
-            elif b * tick > time:
-                b -= 1
-            if b > self._active_tick:
-                bucket = self._wheel.get(b)
-                if bucket is None:
-                    self._wheel[b] = [(time, priority, seq, event)]
-                    heapq.heappush(self._tick_heap, b)
-                else:
-                    bucket.append((time, priority, seq, event))
-                self._wheel_count += 1
-            else:
-                heapq.heappush(self._heap, (time, priority, seq, event))
-        else:
-            heapq.heappush(self._heap, (time, priority, seq, event))
+        heapq.heappush(self._heap, (time, priority, seq, event))
         hist = self._horizon_hist
         if hist is not None:
-            hist.observe(time - self.clock._now)
+            hist.observe(time - now)
         return event
 
     def schedule_after(
@@ -311,36 +228,23 @@ class Simulator:
         *args: Any,
         priority: int = 0,
     ) -> ScheduledEvent:
-        """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time.
+
+        Raises:
+            SimulationError: if ``delay`` is negative, NaN or infinite.
+        """
         # Inlined schedule_at (now + a non-negative delay can never be
-        # in the past, so its guard would be dead weight) and _enqueue —
-        # this path runs ~100k times per campaign.
+        # in the past): this path runs ~100k times per campaign.
         time = self.clock._now + delay
+        if not (0.0 <= delay and time < _INF):
+            if delay < 0:
+                raise SimulationError(f"negative delay: {delay}")
+            raise SimulationError(f"non-finite delay: {delay}")
         seq = self._seq
         self._seq = seq + 1
         event = ScheduledEvent(time, priority, seq, fn, args)
         event._sim = self
-        tick = self._tick
-        if tick:
-            b = int(time // tick)
-            if (b + 1) * tick <= time:
-                b += 1
-            elif b * tick > time:
-                b -= 1
-            if b > self._active_tick:
-                bucket = self._wheel.get(b)
-                if bucket is None:
-                    self._wheel[b] = [(time, priority, seq, event)]
-                    heapq.heappush(self._tick_heap, b)
-                else:
-                    bucket.append((time, priority, seq, event))
-                self._wheel_count += 1
-            else:
-                heapq.heappush(self._heap, (time, priority, seq, event))
-        else:
-            heapq.heappush(self._heap, (time, priority, seq, event))
+        heapq.heappush(self._heap, (time, priority, seq, event))
         hist = self._horizon_hist
         if hist is not None:
             hist.observe(delay)
@@ -348,30 +252,28 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
-        self._flush_calendar()
         self._drop_cancelled()
         if not self._heap:
             return None
         return self._heap[0][0]
 
     def step(self) -> bool:
-        """Fire the single next event.  Returns ``False`` when idle."""
-        self._flush_calendar()
-        self._drop_cancelled()
-        if not self._heap:
-            return False
-        time, _priority, _seq, event = heapq.heappop(self._heap)
-        event._sim = None
-        self.clock.advance_to(time)
-        self._events_fired += 1
-        event.fn(*event.args)
-        return True
+        """Fire the single next event.  Returns ``False`` when idle.
+
+        Raises:
+            SimulationError: if called from inside a run loop.
+        """
+        self._guard_reentry()
+        try:
+            return self._fire_next()
+        finally:
+            self._running = False
 
     def run_until(self, t: float) -> None:
         """Fire every event with ``time <= t``, then advance the clock to ``t``.
 
         This is the simulation's innermost loop; the selection path is
-        inlined (no ``step``/``_drop_cancelled`` calls) because at
+        inlined (no ``_fire_next``/``_drop_cancelled`` calls) because at
         paper scale it executes a couple hundred thousand times per
         campaign.
 
@@ -383,94 +285,35 @@ class Simulator:
         callback scheduled before raising) stays queued, and the
         counters are exact.  Calling ``run_until`` again resumes the
         drain exactly where it stopped.
+
+        Raises:
+            SimulationError: if ``t`` is before the current clock, or is
+                NaN or infinite.
         """
-        self._guard_reentry()
         t = float(t)
+        if not t < _INF:  # NaN or +inf: would fire everything queued
+            raise SimulationError(f"non-finite run limit: {t}")
+        self._guard_reentry()
         clock = self.clock
         heap = self._heap  # _compact() rebuilds in place, alias stays valid
         heappop = heapq.heappop
         fired = 0  # folded into the counter on exit, even via exception
         try:
-            tick = self._tick
-            if not tick:
-                # Reference pure-heap loop (tick_width=0).
-                while heap:
-                    entry = heap[0]
-                    if entry[0] > t:
-                        break
-                    heappop(heap)
-                    event = entry[3]
-                    if event.cancelled:
-                        self._cancelled_count -= 1
-                        continue
-                    event._sim = None
-                    # Inlined clock.advance_to: queue order guarantees
-                    # the pop times are non-decreasing.
-                    clock._now = entry[0]
-                    fired += 1
-                    event.fn(*event.args)
-            else:
-                end_tick = self._bucket_index(t)
-                wheel = self._wheel
-                while True:
-                    k = self._active_tick
-                    incoming = wheel.pop(k, None)
-                    batch = self._run_batch
-                    if incoming is not None:
-                        self._wheel_count -= len(incoming)
-                        if batch:
-                            batch.extend(incoming)
-                        else:
-                            batch = self._run_batch = incoming
-                        batch.sort(reverse=True)
-                    final = k >= end_tick
-                    limit = t if final else (k + 1) * tick
-                    while True:
-                        if batch:
-                            entry = batch[-1]
-                            if heap and heap[0] < entry:
-                                entry = heap[0]
-                                from_batch = False
-                            else:
-                                from_batch = True
-                        elif heap:
-                            entry = heap[0]
-                            from_batch = False
-                        else:
-                            break
-                        etime = entry[0]
-                        if (etime > t) if final else (etime >= limit):
-                            break
-                        if from_batch:
-                            batch.pop()
-                        else:
-                            heappop(heap)
-                        event = entry[3]
-                        if event.cancelled:
-                            self._cancelled_count -= 1
-                            continue
-                        event._sim = None
-                        clock._now = etime
-                        fired += 1
-                        event.fn(*event.args)
-                        # A compaction from inside the callback may have
-                        # replaced the run batch binding; re-read it.
-                        batch = self._run_batch
-                    if final:
-                        break
-                    # Jump to the next tick holding work: the earliest
-                    # wheel bucket, the heap top's tick, or the target.
-                    nk = end_tick
-                    if heap:
-                        hk = self._bucket_index(heap[0][0])
-                        if hk < nk:
-                            nk = hk
-                    tick_heap = self._tick_heap
-                    while tick_heap and tick_heap[0] <= k:
-                        heappop(tick_heap)  # consumed or stale
-                    if tick_heap and tick_heap[0] < nk:
-                        nk = tick_heap[0]
-                    self._active_tick = nk if nk > k else k + 1
+            while heap:
+                entry = heap[0]
+                if entry[0] > t:
+                    break
+                heappop(heap)
+                event = entry[3]
+                if event.cancelled:
+                    self._cancelled_count -= 1
+                    continue
+                event._sim = None
+                # Inlined clock.advance_to: queue order guarantees the
+                # pop times are non-decreasing.
+                clock._now = entry[0]
+                fired += 1
+                event.fn(*event.args)
         finally:
             self._events_fired += fired
             self._running = False
@@ -480,7 +323,7 @@ class Simulator:
         """Fire events until the queue drains completely."""
         self._guard_reentry()
         try:
-            while self.step():
+            while self._fire_next():
                 pass
         finally:
             self._running = False
@@ -504,53 +347,50 @@ class Simulator:
         """
         self._guard_reentry()
         try:
-            for entries in (self._heap, self._run_batch, *self._wheel.values()):
-                for entry in entries:
-                    event = entry[3]
-                    event._sim = None
-                    event.fn = None
-                    event.args = ()
+            for entry in self._heap:
+                event = entry[3]
+                event._sim = None
+                event.fn = None
+                event.args = ()
             self._heap.clear()
-            self._run_batch.clear()
-            self._wheel.clear()
-            self._tick_heap.clear()
-            self._wheel_count = 0
             self._cancelled_count = 0
             self.clock._now = self._start
-            self._active_tick = self._bucket_index(self.clock._now) if self._tick else 0
         finally:
             self._running = False
 
     def pending_count(self) -> int:
         """Number of scheduled, non-cancelled events (O(1)).
 
-        Exact at any instant, including from inside a firing callback:
-        heap, wheel, and the in-flight run batch are all counted.
+        Exact at any instant, including from inside a firing callback.
         """
-        return (
-            len(self._heap)
-            + self._wheel_count
-            + len(self._run_batch)
-            - self._cancelled_count
-        )
+        return len(self._heap) - self._cancelled_count
 
     def _guard_reentry(self) -> None:
         if self._running:
             raise SimulationError("simulator run loop is not re-entrant")
         self._running = True
 
-    def _resident_count(self) -> int:
-        """Entries physically queued, cancelled ones included."""
-        return len(self._heap) + self._wheel_count + len(self._run_batch)
+    def _fire_next(self) -> bool:
+        """Pop and fire the next live event; ``False`` when idle."""
+        self._drop_cancelled()
+        if not self._heap:
+            return False
+        time, _priority, _seq, event = heapq.heappop(self._heap)
+        event._sim = None
+        self.clock.advance_to(time)
+        self._events_fired += 1
+        event.fn(*event.args)
+        return True
 
     def _note_cancelled(self) -> None:
         """A live queued entry was cancelled; compact when dead entries
         dominate the queue."""
         self._cancelled_count += 1
         self._cancels_total += 1
+        resident = len(self._heap)
         if (
-            self._resident_count() >= self.COMPACTION_MIN_SIZE
-            and self._cancelled_count * 2 > self._resident_count()
+            resident >= self.COMPACTION_MIN_SIZE
+            and self._cancelled_count * 2 > resident
         ):
             self._compact()
 
@@ -560,48 +400,13 @@ class Simulator:
         Safe at any point between event firings — even mid-``run_until``
         (a cancel from inside a firing callback can trigger it): the
         event order is total, so a re-heapified heap pops in exactly
-        the same sequence; wheel buckets are unsorted until drained;
-        and the run batch is filtered in place, preserving its
-        reverse-sorted order, so the draining loop's alias stays valid.
+        the same sequence, and the heap is rebuilt in place, so the
+        draining loop's alias stays valid.
         """
         self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
-        if self._wheel:
-            count = 0
-            for bucket in self._wheel.values():
-                bucket[:] = [entry for entry in bucket if not entry[3].cancelled]
-                count += len(bucket)
-            # Empty buckets stay keyed; the drain loop pops them as
-            # no-ops and the tick heap already tracks their indices.
-            self._wheel_count = count
-        batch = self._run_batch
-        if batch:
-            batch[:] = [entry for entry in batch if not entry[3].cancelled]
         self._cancelled_count = 0
         self._compactions += 1
-
-    def _flush_calendar(self) -> None:
-        """Fold wheel buckets and the run batch back into the heap.
-
-        Cold-path helper for ``step``/``peek_time``/``run``: those need
-        a single global minimum, which the heap alone provides.  The
-        fold is semantically invisible — entries keep their keys, and
-        the total order is the same wherever an entry resides.
-        """
-        heap = self._heap
-        heappush = heapq.heappush
-        batch = self._run_batch
-        if batch:
-            for entry in batch:
-                heappush(heap, entry)
-            batch.clear()
-        if self._wheel:
-            for bucket in self._wheel.values():
-                for entry in bucket:
-                    heappush(heap, entry)
-            self._wheel.clear()
-            self._tick_heap.clear()
-            self._wheel_count = 0
 
     def _drop_cancelled(self) -> None:
         heap = self._heap

@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import DEFAULT_TICK_WIDTH, ScheduledEvent, Simulator
+from repro.core.engine import ScheduledEvent, Simulator
 from repro.core.errors import SimulationError
 
-TICK_WIDTHS = [0.0, 7.5, DEFAULT_TICK_WIDTH]
+#: Clock origins the engine is started at: zero, a fractional offset and
+#: an hour in.  Event times in the tests below are relative to the origin,
+#: so every observation is the same whatever the origin.
+STARTS = [0.0, 7.5, 3600.0]
 
 
 # ---------------------------------------------------------------------------
@@ -24,9 +27,9 @@ TICK_WIDTHS = [0.0, 7.5, DEFAULT_TICK_WIDTH]
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tick_width", TICK_WIDTHS)
-def test_run_until_fires_raises_resumes(tick_width):
-    sim = Simulator(tick_width=tick_width)
+@pytest.mark.parametrize("start", STARTS)
+def test_run_until_fires_raises_resumes(start):
+    sim = Simulator(start)
     order = []
 
     def boom():
@@ -35,31 +38,31 @@ def test_run_until_fires_raises_resumes(tick_width):
         sim.schedule_at(sim.now + 1.0, lambda: order.append("from-boom"))
         raise RuntimeError("injected")
 
-    sim.schedule_at(5.0, lambda: order.append("before"))
-    sim.schedule_at(15.0, boom)
-    sim.schedule_at(15.0, lambda: order.append("same-instant"))
-    sim.schedule_at(25.0, lambda: order.append("after"))
+    sim.schedule_at(start + 5.0, lambda: order.append("before"))
+    sim.schedule_at(start + 15.0, boom)
+    sim.schedule_at(start + 15.0, lambda: order.append("same-instant"))
+    sim.schedule_at(start + 25.0, lambda: order.append("after"))
 
     with pytest.raises(RuntimeError, match="injected"):
-        sim.run_until(100.0)
+        sim.run_until(start + 100.0)
 
     # Documented escape state: clock at the failing event's timestamp
     # (NOT advanced to t), the failing event counted as fired, every
     # survivor still queued, counters exact.
     assert order == ["before", "boom"]
-    assert sim.now == 15.0
+    assert sim.now == start + 15.0
     assert sim.events_fired == 2
     assert sim.pending_count() == 3  # same-instant, from-boom, after
 
     # A fresh run_until resumes exactly where the drain stopped.
-    sim.run_until(100.0)
+    sim.run_until(start + 100.0)
     assert order == ["before", "boom", "same-instant", "from-boom", "after"]
-    assert sim.now == 100.0
+    assert sim.now == start + 100.0
     assert sim.pending_count() == 0
     assert sim.events_fired == 5
     # The re-entrancy latch was released by the escape path too.
-    sim.schedule_at(200.0, lambda: order.append("tail"))
-    sim.run_until(200.0)
+    sim.schedule_at(start + 200.0, lambda: order.append("tail"))
+    sim.run_until(start + 200.0)
     assert order[-1] == "tail"
 
 
@@ -69,6 +72,55 @@ def test_run_until_without_events_still_advances_clock():
     assert sim.now == 42.0
     with pytest.raises(SimulationError):
         sim.run_until(41.0)  # clock cannot move backwards
+
+
+# ---------------------------------------------------------------------------
+# Refusals leave the books untouched.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_times_are_refused_before_they_are_counted(bad):
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(1.0, lambda: fired.append("a"))
+    sim.schedule_at(2.0, lambda: fired.append("b"))
+    for schedule in (sim.schedule_at, sim.schedule_after):
+        with pytest.raises(SimulationError):
+            schedule(bad, lambda: fired.append("bad"))
+    # Nothing took a sequence number or a place in the queue.
+    assert sim.events_scheduled == 2
+    assert sim.pending_count() == 2
+    assert len(sim._heap) == 2
+    # A non-finite run limit fires nothing and leaves the clock alone.
+    with pytest.raises(SimulationError):
+        sim.run_until(bad)
+    assert fired == [] and sim.now == 0.0 and sim.events_fired == 0
+    sim.run_until(5.0)
+    assert fired == ["a", "b"]
+    assert sim.now == 5.0
+    assert sim.events_fired == 2
+
+
+def test_step_from_a_callback_is_refused():
+    sim = Simulator()
+    seen = []
+
+    def step_inside():
+        with pytest.raises(SimulationError):
+            sim.step()
+        # The next event did not fire nested: the clock stands still.
+        seen.append(sim.now)
+
+    sim.schedule_at(1.0, step_inside)
+    sim.schedule_at(2.0, lambda: seen.append(sim.now))
+    sim.run_until(10.0)
+    assert seen == [1.0, 2.0]
+    assert sim.events_fired == 2
+    # Outside a run loop step works, and a refusal left no latch set.
+    sim.schedule_at(11.0, lambda: seen.append(sim.now))
+    assert sim.step() is True
+    assert seen[-1] == 11.0
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +181,10 @@ _OPS = st.lists(
 )
 
 
-@given(ops=_OPS, tick_width=st.sampled_from(TICK_WIDTHS))
+@given(ops=_OPS)
 @settings(max_examples=150, deadline=None)
-def test_interleaved_ops_keep_accounting_exact(ops, tick_width):
-    sim = Simulator(tick_width=tick_width)
+def test_interleaved_ops_keep_accounting_exact(ops):
+    sim = Simulator()
     handles = []
     scheduled = 0
     fired_ids = []
@@ -153,7 +205,7 @@ def test_interleaved_ops_keep_accounting_exact(ops, tick_width):
         assert sim.events_cancelled == len(cancelled_ids)
         # The dead-entry counter is exactly the physically-resident
         # cancelled entries, and never negative.
-        assert sim._cancelled_count == sim._resident_count() - live
+        assert sim._cancelled_count == len(sim._heap) - live
         assert sim._cancelled_count >= 0
 
     def check_resident():
@@ -164,7 +216,7 @@ def test_interleaved_ops_keep_accounting_exact(ops, tick_width):
         assert sim.pending_count() == live
         assert sim.events_scheduled == scheduled
         assert sim.events_cancelled == len(cancelled_ids)
-        assert sim._cancelled_count == sim._resident_count() - live
+        assert sim._cancelled_count == len(sim._heap) - live
         assert sim._cancelled_count >= 0
 
     def fire(payload):
@@ -226,9 +278,12 @@ def _phone_run(sim, log, tag, count=40):
         if n < count:
             sim.schedule_after(13.0 + n % 5, tick, n + 1, priority=n % 3 - 1)
 
-    sim.schedule_at(0.0, tick, 0)
+    origin = sim.now
+    sim.schedule_at(origin, tick, 0)
     handles = [
-        sim.schedule_at(7.5 * k, lambda k=k: log.append((tag, "one", k, sim.now)))
+        sim.schedule_at(
+            origin + 7.5 * k, lambda k=k: log.append((tag, "one", k, sim.now))
+        )
         for k in range(60)
     ]
     for handle in handles[::4]:
@@ -236,21 +291,22 @@ def _phone_run(sim, log, tag, count=40):
     return handles
 
 
-@pytest.mark.parametrize("tick_width", TICK_WIDTHS)
-def test_rewind_runs_each_phone_as_on_its_own_engine(tick_width):
-    horizon = 300.0
-    shared = Simulator(tick_width=tick_width)
+@pytest.mark.parametrize("start", STARTS)
+def test_rewind_runs_each_phone_as_on_its_own_engine(start):
+    horizon = start + 300.0
+    shared = Simulator(start)
     shared_log = []
     kept = []
     for tag in ("a", "b", "c"):
         kept.extend(_phone_run(shared, shared_log, tag))
         shared.run_until(horizon)
         shared.rewind()
-        assert shared.now == 0.0 and shared.pending_count() == 0
+        # Back at the engine's own origin, not at zero.
+        assert shared.now == start and shared.pending_count() == 0
     own_log = []
     fired = scheduled = cancelled = 0
     for tag in ("a", "b", "c"):
-        reference = Simulator(tick_width=0)  # the pure-heap reference
+        reference = Simulator(start)  # a fresh engine per phone
         _phone_run(reference, own_log, tag)
         reference.run_until(horizon)
         fired += reference.events_fired
@@ -272,9 +328,9 @@ def test_rewind_runs_each_phone_as_on_its_own_engine(tick_width):
     assert shared.events_cancelled == cancelled
 
 
-@pytest.mark.parametrize("tick_width", TICK_WIDTHS)
-def test_rewind_from_a_callback_is_refused(tick_width):
-    sim = Simulator(tick_width=tick_width)
+@pytest.mark.parametrize("start", STARTS)
+def test_rewind_from_a_callback_is_refused(start):
+    sim = Simulator(start)
     errors = []
 
     def rewind_inside():
@@ -283,8 +339,9 @@ def test_rewind_from_a_callback_is_refused(tick_width):
         except SimulationError as exc:
             errors.append(exc)
 
-    sim.schedule_at(5.0, rewind_inside)
-    sim.schedule_at(9.0, lambda: None)
-    sim.run_until(10.0)
+    sim.schedule_at(start + 5.0, rewind_inside)
+    sim.schedule_at(start + 9.0, lambda: None)
+    sim.run_until(start + 10.0)
     assert len(errors) == 1
     assert sim.events_fired == 2
+    assert sim.now == start + 10.0
