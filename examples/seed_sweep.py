@@ -4,8 +4,9 @@
 The paper's campaign is one draw of one fleet; this sweep re-runs it
 under many seeds at once (one worker process per campaign), then
 reports the band every headline metric falls in — the reproduction's
-robustness evidence.  With ``--cache`` the summaries are stored on
-disk, so re-running the sweep is instant::
+robustness evidence.  ``--cache DIR`` is the run directory: every
+campaign's shards are committed there, so re-running the sweep adopts
+them and executes nothing (and a killed sweep resumes)::
 
     python examples/seed_sweep.py --seeds 11,22,33 --workers 4
     python examples/seed_sweep.py --phones 12 --months 10 --cache .sweep/
@@ -15,10 +16,9 @@ import argparse
 
 from repro.analysis.tables import render_table
 from repro.core.clock import MONTH
-from repro.experiments.cache import CampaignCache
 from repro.experiments.compare import headline_comparison
 from repro.experiments.config import CampaignConfig
-from repro.experiments.runner import run_campaigns
+from repro.experiments.runner import run_campaigns_resilient
 from repro.phone.fleet import FleetConfig
 
 
@@ -42,8 +42,10 @@ def main() -> None:
         for seed in seeds
     ]
 
-    cache = CampaignCache(args.cache) if args.cache else None
-    summaries = run_campaigns(configs, workers=args.workers, cache=cache)
+    manifest = run_campaigns_resilient(
+        configs, workers=args.workers, run_dir=args.cache, retries=0
+    )
+    summaries = manifest.summaries_or_raise()
 
     rows = []
     for summary in summaries:
@@ -67,8 +69,9 @@ def main() -> None:
     )
     print()
     print(headline_comparison(summaries[0]).render())
-    if cache is not None:
-        print(f"\ncache: {cache.hits} hits, {cache.misses} misses")
+    if args.cache:
+        executed = len(summaries) - manifest.resumed
+        print(f"\nrun dir: {manifest.resumed} resumed, {executed} executed")
 
 
 if __name__ == "__main__":

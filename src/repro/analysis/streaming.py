@@ -70,11 +70,20 @@ from repro.analysis.shutdowns import (
 from repro.core.errors import AnalysisError
 from repro.symbian.panics import PanicId
 
-#: Version stamp of the accumulator wire format (shard cache entries).
+#: Version stamp of the accumulator wire format (committed shard files).
 STREAMING_FORMAT_VERSION = 2
 
 #: Figure 6 outcome of a panic, by the HL kind it coalesced with.
 _OUTCOMES = {HL_FREEZE: OUTCOME_FREEZE, HL_SELF_SHUTDOWN: OUTCOME_SELF_SHUTDOWN}
+
+#: The keys of one phone's partial (:meth:`CampaignAccumulator.add_phone`).
+_PARTIAL_KEYS = frozenset(
+    (
+        "start_time", "records", "freezes", "shutdowns", "lowbt", "maoff",
+        "first_boots", "bursts", "report_kinds", "correlated",
+        "covered_seconds", "panics",
+    )
+)
 
 
 class CampaignAccumulator:
@@ -351,13 +360,20 @@ class CampaignAccumulator:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CampaignAccumulator":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Refuses a partial without exactly the keys :meth:`add_phone`
+        writes, so a garbled key fails here, not later in the merge.
+        """
         version = payload.get("format_version")
         if version != STREAMING_FORMAT_VERSION:
             raise AnalysisError(
                 f"unsupported streaming format version {version!r} "
                 f"(expected {STREAMING_FORMAT_VERSION})"
             )
+        for phone_id, partial in payload["phones"].items():
+            if not isinstance(partial, dict) or partial.keys() != _PARTIAL_KEYS:
+                raise AnalysisError(f"malformed partial for phone {phone_id!r}")
         return cls(
             end_time=payload["end_time"],
             window=payload["window"],

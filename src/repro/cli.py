@@ -10,8 +10,8 @@ Nine subcommands cover the whole study:
   report-shape flags as ``campaign``, so an exported-then-reanalyzed
   campaign reproduces the same report;
 * ``sweep``    — re-run the campaign across many seeds in parallel
-  (the reproduction's robustness workhorse), with an optional on-disk
-  summary cache;
+  (the reproduction's robustness workhorse); ``--cache DIR`` is the
+  run directory, and a rerun on it adopts every committed campaign;
 * ``forum``    — run the §4 web-forum study;
 * ``perf``     — time ``run_campaign`` (wall and CPU seconds,
   events/second, optional cProfile table) and optionally check the
@@ -20,7 +20,7 @@ Nine subcommands cover the whole study:
   ``trace_event`` JSON timeline (open it in ``chrome://tracing`` or
   https://ui.perfetto.dev), plus a top-N hotspot summary on stdout;
 * ``faults``   — inject faults into the collection path (storage,
-  transfer, worker, cache layers) at swept intensities and report how
+  transfer, worker, commit layers) at swept intensities and report how
   far the headline figures drift — the degradation-curve experiment
   that certifies the pipeline degrades gracefully;
 * ``megafleet`` — run one large campaign as K deterministic
@@ -77,7 +77,6 @@ from repro.analysis.tables import render_table
 from repro.core.clock import MONTH
 from repro.core.errors import AnalysisError, ConfigError
 from repro.core.gcpause import gc_suspended
-from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
 from repro.experiments.compare import headline_comparison
 from repro.experiments.config import CampaignConfig
@@ -89,7 +88,7 @@ from repro.experiments.perf import (
     load_baseline,
     measure_campaign,
 )
-from repro.experiments.runner import run_campaigns
+from repro.experiments.runner import run_campaigns_resilient
 from repro.forum.corpus import CorpusConfig
 from repro.forum.study import run_forum_study
 from repro.logger.transfer import load_lines_from_dir
@@ -172,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--cache", metavar="DIR", default=None,
-        help="cache campaign summaries here; repeated sweeps are free",
+        help="run directory: every campaign's shards are committed "
+        "here, and a rerun on it adopts them (kill -9 resumable)",
     )
     sweep.add_argument(
         "--window", type=float, default=DEFAULT_WINDOW,
@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--live", action="store_true",
         help="print a progress line (to stderr) as each campaign "
-        "completes — cache hits included",
+        "completes — resumed campaigns included",
     )
 
     forum = sub.add_parser("forum", help="run the section-4 forum study")
@@ -278,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--resilience", action="store_true",
         help="also probe the sweep runner: worker crash/hang healing "
-        "via retries and cache corruption eviction",
+        "via retries, and a rerun over corrupted shard commits",
     )
     faults.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -525,12 +525,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         for seed in seeds
     ]
-    try:
-        cache = CampaignCache(args.cache) if args.cache else None
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot use cache directory {args.cache!r}: {exc}"
-        ) from None
+    if args.cache:
+        try:
+            os.makedirs(args.cache, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot use cache directory {args.cache!r}: {exc}"
+            ) from None
     on_complete = None
     if args.live:
         from time import perf_counter
@@ -550,12 +551,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 flush=True,
             )
 
-    summaries = run_campaigns(
+    manifest = run_campaigns_resilient(
         configs,
         workers=args.workers,
-        cache=cache,
+        run_dir=args.cache,
+        retries=0,
         on_complete=on_complete,
     )
+    summaries = manifest.summaries_or_raise()
 
     rows = []
     for summary in summaries:
@@ -591,10 +594,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     print()
     print(headline_comparison(summaries[0]).render())
-    if cache is not None:
+    if args.cache:
         print(
-            f"\ncache {args.cache}: {cache.hits} hits, "
-            f"{cache.misses} misses, {len(cache)} entries"
+            f"\nrun dir {args.cache}: {manifest.resumed} resumed, "
+            f"{len(summaries) - manifest.resumed} executed"
         )
     return 0
 

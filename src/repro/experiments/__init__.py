@@ -6,7 +6,7 @@
 * :mod:`runner`   — :func:`run_campaigns`, the parallel multi-seed
   runner, plus :func:`run_campaigns_resilient` and its
   :class:`SweepManifest` of partial results and structured failures.
-* :mod:`cache`    — the on-disk summary cache for repeated sweeps.
+* :mod:`cache`    — the commit store workers write shard results to.
 * :mod:`executors` — the work-stealing work-queue executor every
   multi-campaign run goes through (in-process when ``workers == 1``).
 * :mod:`shard`    — sharded mega-fleet campaigns with work stealing,
@@ -34,7 +34,6 @@ from repro.experiments.runner import (
     SweepManifest,
     run_campaigns,
     run_campaigns_resilient,
-    summarize_campaign,
 )
 from repro.experiments.shard import (
     CommittedShard,
@@ -67,7 +66,6 @@ __all__ = [
     "run_campaign",
     "run_campaigns",
     "run_campaigns_resilient",
-    "summarize_campaign",
     "Comparison",
     "ComparisonRow",
     "headline_comparison",

@@ -85,7 +85,7 @@ def headline_comparison(summary: "CampaignSummary") -> Comparison:
     """Paper-vs-measured table for one campaign summary's headlines.
 
     Works from the serialized summary alone — no fleet, dataset, or
-    report object needed — so sweep results (including cached ones)
+    report object needed — so sweep results (including resumed ones)
     can be compared long after the simulator is gone.
     """
     from repro.experiments import paper

@@ -1,32 +1,33 @@
 """The campaign executor: one coordinator-scheduled work queue.
 
-Every multi-campaign run — a seed sweep through
+Every campaign run — the seeds of a sweep through
 :func:`~repro.experiments.runner.run_campaigns` or the shards of one
-sharded campaign through
-:func:`~repro.experiments.shard.run_sharded_campaign` — executes on a
-:class:`WorkQueueExecutor`: N long-lived worker processes pulling tasks
-from a coordinator-managed queue.
+mega-fleet through :func:`~repro.experiments.shard.run_sharded_campaign`
+— executes as shard tasks on a :class:`WorkQueueExecutor`: N
+long-lived worker processes pulling tasks from a coordinator-managed
+queue.  A task is keyed ``(campaign position, phone range)``.
 
 * **Dynamic balance.**  A worker that finishes early just pulls the
-  next task, so an uneven plan never pins wall time to the unluckiest
-  static assignment.
-* **Work stealing.**  For sharded campaigns the coordinator halves the
-  largest pending phone range at dispatch time (split via
-  ``FleetConfig.phone_range``) until it fits the current fair share,
-  so one long-tailed shard ends as several chunks spread over idle
-  workers.
+  next task, whichever campaign it belongs to, so an uneven plan never
+  pins wall time to the unluckiest static assignment.
+* **Work stealing.**  The coordinator halves the largest pending phone
+  range at dispatch time (split via ``FleetConfig.phone_range``) until
+  it fits the current fair share, so one long-tailed shard ends as
+  several chunks spread over idle workers; each chunk keeps its
+  campaign position in its key.
 * **One retry/watchdog policy.**  The coordinator owns every retry.  A
   task gets ``1 + retries`` attempts against its own failures (an
   exception, or a hang reclaimed by the per-task watchdog); a worker
   that dies mid-task (``kill -9``, OOM) is detected by liveness polling,
   respawned, and its task re-dispatched at least once, so a single kill
   never takes a run down.  Each dispatch carries its attempt number.
-* **Durable commit.**  With a ``commit_dir``, workers commit each
-  result to a :class:`~repro.experiments.cache.CampaignCache` (atomic
+* **Durable commit.**  Workers commit each result to the run
+  directory's :class:`~repro.experiments.cache.CampaignCache` (atomic
   temp file + rename) *before* acknowledging it — the property that
-  makes mega-fleet runs resumable after ``kill -9`` of the whole
-  process tree — and only a tiny acknowledgement crosses the queue,
-  keeping the parent's memory flat in shard count.
+  makes every run resumable after ``kill -9`` of the whole process
+  tree — and only a tiny acknowledgement crosses the queue, keeping the
+  parent's memory flat in task count.  Results never travel in memory:
+  readers go through the committed-shard ledger.
 * **In-process path.**  With ``workers == 1``, or where worker
   processes cannot start (sandboxes, restricted interpreters), the same
   tasks run in the calling process with the same retry and commit
@@ -45,16 +46,7 @@ from __future__ import annotations
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import CampaignCache
 from repro.experiments.config import CampaignConfig
@@ -126,6 +118,57 @@ def format_failure(exc: BaseException) -> FailureInfo:
 
 
 @dataclass
+class CampaignFailure:
+    """Manifest entry for one campaign that exhausted its attempts."""
+
+    index: int
+    seed: int
+    error_type: str
+    message: str
+    traceback: str
+    attempts: int
+    #: Executor-observed wall seconds of each attempt, in attempt
+    #: order.  A hung worker shows up as an attempt pinned near the
+    #: watchdog deadline.
+    attempt_wall_seconds: List[float] = field(default_factory=list)
+    #: The watchdog deadline armed for this campaign's worker-process
+    #: attempts; ``None`` when it ran in-process (never preemptible).
+    watchdog_seconds: Optional[float] = None
+    #: The phone range that was in flight (the whole fleet unless work
+    #: stealing split the campaign), so a failure names exactly which
+    #: slice to rerun.
+    phone_range: Optional[Tuple[int, int]] = None
+
+    def error(self) -> CampaignExecutionError:
+        """This failure as the exception a raising caller throws."""
+        return CampaignExecutionError(
+            self.index,
+            self.seed,
+            f"{self.error_type}: {self.message}",
+            traceback=self.traceback,
+            attempts=self.attempts,
+            phone_range=self.phone_range,
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "index": self.index,
+            "seed": self.seed,
+            "error_type": self.error_type,
+            "message": self.message,
+            "traceback": self.traceback,
+            "attempts": self.attempts,
+            "attempt_wall_seconds": [
+                round(wall, 6) for wall in self.attempt_wall_seconds
+            ],
+            "watchdog_seconds": self.watchdog_seconds,
+            "phone_range": (
+                list(self.phone_range) if self.phone_range is not None else None
+            ),
+        }
+
+
+@dataclass
 class ExecutorStats:
     """Plain-integer tallies of one executor run.
 
@@ -187,9 +230,9 @@ def _attempt(
     task: Callable[..., Any],
     config: CampaignConfig,
     attempt: int,
-    cache: Optional[CampaignCache],
-) -> Any:
-    """Run one attempt; with ``cache`` commit the result, return ``None``.
+    commits: CampaignCache,
+) -> None:
+    """Run one attempt and commit its result.
 
     A task that declares ``accepts_attempt`` is called as
     ``task(config, attempt=n)`` with the 0-based attempt number.
@@ -198,21 +241,18 @@ def _attempt(
         result = task(config, attempt=attempt)
     else:
         result = task(config)
-    if cache is None:
-        return result
-    cache.put(config, result)
-    return None
+    commits.put(config, result)
 
 
 def _worker_main(wid, task, commit_dir, inbox, outbox):
-    """Worker loop: pull a task, run it, (commit), acknowledge.
+    """Worker loop: pull a task, run it, commit, acknowledge.
 
-    With ``commit_dir`` the result is durably written to the cache
-    *before* the acknowledgement is sent — the coordinator never learns
-    of a shard that is not already safe on disk — and never crosses the
-    queue.  Module-level so it pickles under any start method.
+    The result is durably written to the run directory *before* the
+    acknowledgement is sent — the coordinator never learns of a shard
+    that is not already safe on disk — and never crosses the queue.
+    Module-level so it pickles under any start method.
     """
-    cache = CampaignCache(commit_dir) if commit_dir is not None else None
+    commits = CampaignCache(commit_dir)
     outbox.put(("ready", wid, None, None))
     while True:
         message = inbox.get()
@@ -220,20 +260,24 @@ def _worker_main(wid, task, commit_dir, inbox, outbox):
             return
         _kind, task_id, config, attempt = message
         try:
-            result = _attempt(task, config, attempt, cache)
+            _attempt(task, config, attempt, commits)
         except Exception as exc:
             outbox.put(("error", wid, task_id, format_failure(exc)))
         else:
-            outbox.put(("done", wid, task_id, result))
+            outbox.put(("done", wid, task_id, None))
 
 
 class _QueueStartupError(RuntimeError):
     """Worker processes could not start; run in-process instead."""
 
 
+#: A task's key: ``(campaign position, phone range)``.
+TaskKey = Tuple[int, Tuple[int, int]]
+
+
 @dataclass
 class _InFlight:
-    key: Any
+    key: TaskKey
     config: CampaignConfig
     started_at: float
 
@@ -242,17 +286,39 @@ class _InFlight:
 class RunOutcome:
     """What one executor run produced, keyed by task key."""
 
-    #: Completed tasks' configs (a stolen split is its own key).
-    completed: Dict[Any, CampaignConfig] = field(default_factory=dict)
+    #: Committed tasks' configs (a stolen split is its own key).
+    completed: Dict[TaskKey, CampaignConfig] = field(default_factory=dict)
     #: ``(config, failure, attempts)`` for tasks out of attempts.
-    failed: Dict[Any, Tuple[CampaignConfig, FailureInfo, int]] = field(
+    failed: Dict[TaskKey, Tuple[CampaignConfig, FailureInfo, int]] = field(
         default_factory=dict
     )
     #: Wall seconds of every attempt, in attempt order.
-    walls: Dict[Any, List[float]] = field(default_factory=dict)
+    walls: Dict[TaskKey, List[float]] = field(default_factory=dict)
     #: The per-task watchdog deadline armed for worker-process attempts;
     #: ``None`` when tasks ran in-process (nothing can preempt them).
     watchdog: Optional[float] = None
+
+    def failures(self) -> List[CampaignFailure]:
+        """One entry per campaign with a task out of attempts (its
+        lowest failed range), by campaign position."""
+        found: List[CampaignFailure] = []
+        for key, (config, info, attempts) in sorted(self.failed.items()):
+            if found and found[-1].index == key[0]:
+                continue
+            found.append(
+                CampaignFailure(
+                    index=key[0],
+                    seed=config.seed,
+                    error_type=info[0],
+                    message=info[1],
+                    traceback=info[2],
+                    attempts=attempts,
+                    attempt_wall_seconds=self.walls.get(key, []),
+                    watchdog_seconds=self.watchdog,
+                    phone_range=key[1],
+                )
+            )
+        return found
 
 
 #: Splits one task config into two halves, or ``None`` when it cannot.
@@ -285,25 +351,29 @@ class WorkQueueExecutor:
 
     def run(
         self,
-        items: Sequence[Tuple[Any, CampaignConfig]],
+        items: Sequence[Tuple[TaskKey, CampaignConfig]],
         task: Callable[..., Any],
+        commit_dir: str,
         retries: int = 0,
         timeout: Optional[float] = None,
-        commit_dir: Optional[str] = None,
-        on_done: Optional[Callable[[Any, CampaignConfig, Any], None]] = None,
+        on_done: Optional[Callable[[TaskKey, CampaignConfig], None]] = None,
         splitter: Optional[Splitter] = None,
         size_fn: Optional[Callable[[CampaignConfig], int]] = None,
         live_dir: Optional[str] = None,
         progress: Optional[Callable[[Any], None]] = None,
     ) -> RunOutcome:
-        """Run ``(key, config)`` tasks to completion or exhaustion.
+        """Run ``(key, config)`` tasks to durable completion or exhaustion.
 
-        Never raises for per-task failures — those land in
-        :attr:`RunOutcome.failed`.  ``on_done(key, config, payload)``
-        fires the moment each task completes (``payload`` is ``None``
-        when ``commit_dir`` committed it).  ``timeout`` arms the
-        per-task watchdog for worker-process attempts.  ``splitter``
-        and ``size_fn`` enable work stealing (when :attr:`steal`).
+        Every completed task's result is committed in ``commit_dir``
+        (commit-before-acknowledge) under its config's key; the
+        completed keys may be *finer* than the submitted ones when
+        stealing split a long-tailed range.  Never raises for per-task
+        failures — those land in :attr:`RunOutcome.failed` (see
+        :meth:`RunOutcome.failures`).  ``on_done(key,
+        config)`` fires the moment each task's commit is acknowledged.
+        ``timeout`` arms the per-task watchdog for worker-process
+        attempts.  ``splitter`` and ``size_fn`` enable work stealing
+        (when :attr:`steal`).
 
         With ``live_dir`` set, the coordinator heartbeats executor
         state into the op-log and periodically folds the whole log
@@ -350,63 +420,19 @@ class WorkQueueExecutor:
         self.stats.sample(tel)
         return outcome
 
-    def execute_shards(
-        self,
-        items: Sequence[Tuple[Tuple[int, int], CampaignConfig]],
-        task: Callable[..., Any],
-        commit_dir: str,
-        retries: int = 0,
-        timeout: Optional[float] = None,
-        splitter: Optional[Splitter] = None,
-        size_fn: Optional[Callable[[CampaignConfig], int]] = None,
-        live_dir: Optional[str] = None,
-        progress: Optional[Callable[[Any], None]] = None,
-    ) -> List[Tuple[Tuple[int, int], CampaignConfig]]:
-        """Run shard tasks to durable completion; returns the tiling.
-
-        Every returned ``(phone_range, config)`` pair has its result
-        committed in ``commit_dir`` (commit-before-acknowledge).  The
-        returned ranges may be *finer* than the submitted ones when
-        stealing split a long-tailed shard.  Raises
-        :class:`CampaignExecutionError` (with the offending
-        ``phone_range``) when a task exhausts its attempts.
-        """
-        outcome = self.run(
-            items,
-            task,
-            retries=retries,
-            timeout=timeout,
-            commit_dir=commit_dir,
-            splitter=splitter,
-            size_fn=size_fn,
-            live_dir=live_dir,
-            progress=progress,
-        )
-        if outcome.failed:
-            config, info, attempts = outcome.failed[min(outcome.failed)]
-            raise CampaignExecutionError(
-                index=-1,
-                seed=config.seed,
-                cause=f"{info[0]}: {info[1]}",
-                traceback=info[2],
-                attempts=attempts,
-                phone_range=config.fleet.phone_range,
-            )
-        return [(key, outcome.completed[key]) for key in sorted(outcome.completed)]
-
     # -- in-process path -------------------------------------------------
 
     def _run_inline(
         self,
-        items: Sequence[Tuple[Any, CampaignConfig]],
+        items: Sequence[Tuple[TaskKey, CampaignConfig]],
         task: Callable[..., Any],
         retries: int,
-        commit_dir: Optional[str],
-        on_done: Optional[Callable[[Any, CampaignConfig, Any], None]],
+        commit_dir: str,
+        on_done: Optional[Callable[[TaskKey, CampaignConfig], None]],
         live: Optional[Any],
     ) -> RunOutcome:
         """Every task in the calling process, retried in place."""
-        cache = CampaignCache(commit_dir) if commit_dir is not None else None
+        commits = CampaignCache(commit_dir)
         outcome = RunOutcome()
         for position, (key, config) in enumerate(items):
             if live is not None:
@@ -415,7 +441,7 @@ class WorkQueueExecutor:
             for attempt in range(retries + 1):
                 start = perf_counter()
                 try:
-                    payload = _attempt(task, config, attempt, cache)
+                    _attempt(task, config, attempt, commits)
                 except Exception as exc:
                     walls.append(perf_counter() - start)
                     if attempt < retries:
@@ -426,7 +452,7 @@ class WorkQueueExecutor:
                     walls.append(perf_counter() - start)
                     outcome.completed[key] = config
                     if on_done is not None:
-                        on_done(key, config, payload)
+                        on_done(key, config)
                 break
         return outcome
 
@@ -434,12 +460,12 @@ class WorkQueueExecutor:
 
     def _run_workers(
         self,
-        items: List[Tuple[Any, CampaignConfig]],
+        items: List[Tuple[TaskKey, CampaignConfig]],
         task: Callable[..., Any],
         retries: int,
         timeout: Optional[float],
-        commit_dir: Optional[str],
-        on_done: Optional[Callable[[Any, CampaignConfig, Any], None]],
+        commit_dir: str,
+        on_done: Optional[Callable[[TaskKey, CampaignConfig], None]],
         splitter: Optional[Splitter],
         size_fn: Optional[Callable[[CampaignConfig], int]],
         live: Optional[Any],
@@ -450,7 +476,7 @@ class WorkQueueExecutor:
 
         context = multiprocessing.get_context()
         outcome = RunOutcome(watchdog=timeout)
-        pending: List[Tuple[Any, CampaignConfig]] = list(items)
+        pending: List[Tuple[TaskKey, CampaignConfig]] = list(items)
         inboxes: Dict[int, Any] = {}
         processes: Dict[int, Any] = {}
 
@@ -477,11 +503,11 @@ class WorkQueueExecutor:
         inflight: Dict[int, _InFlight] = {}
         idle: List[int] = []
         #: Dispatches so far per key — the next attempt number.
-        dispatches: Dict[Any, int] = {}
+        dispatches: Dict[TaskKey, int] = {}
         #: Failed attempts per key that count against ``retries``.
-        failures: Dict[Any, int] = {}
+        failures: Dict[TaskKey, int] = {}
         #: Worker deaths per key, each allowed at least one re-dispatch.
-        deaths: Dict[Any, int] = {}
+        deaths: Dict[TaskKey, int] = {}
         restarts_left = RESTARTS_PER_WORKER * self.workers
         next_wid = worker_count
 
@@ -509,8 +535,8 @@ class WorkQueueExecutor:
                     if halves is None:
                         break
                     config, other = halves
-                    key = config.fleet.phone_range
-                    pending.append((other.fleet.phone_range, other))
+                    key = (key[0], config.fleet.phone_range)
+                    pending.append(((key[0], other.fleet.phone_range), other))
                     self.stats.steals += 1
                     tel.instant(
                         "steal split",
@@ -619,7 +645,7 @@ class WorkQueueExecutor:
                                 (
                                     "WorkerDied",
                                     f"worker exited mid-task (phones "
-                                    f"{flight.key!r})",
+                                    f"{flight.config.fleet.phone_range!r})",
                                     "",
                                 ),
                             )
@@ -661,7 +687,7 @@ class WorkQueueExecutor:
                     )
                     outcome.completed[flight.key] = flight.config
                     if on_done is not None:
-                        on_done(flight.key, flight.config, payload)
+                        on_done(flight.key, flight.config)
                 elif kind == "error":
                     requeue(wid, "error", payload)
                 if pending:

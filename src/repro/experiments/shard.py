@@ -35,11 +35,12 @@ one logical campaign into deterministic per-phone-range shards:
   replans around the committed ranges (:func:`scan_committed_shards`),
   recomputes only the gaps, and produces a bit-identical summary.
 
-Simulation-side telemetry counters are the one deliberate exception to
-bit-identity: K shard simulators schedule K times as many periodic
-transfer events as one monolithic simulator, so ``sim.*`` counters
-differ by construction.  Telemetry is therefore off by default and
-per-shard registries merge canonically when enabled.
+Telemetry is part of that contract.  Phones run one at a time, each
+with its own transfer tick, so every ``sim.*`` and layer counter is a
+sum over phones; the per-shard registries merge canonically into the
+registry the monolithic run records, for any tiling.  A multi-seed
+sweep is the same machinery: :mod:`repro.experiments.runner` runs each
+seed as a one-shard campaign into one run directory.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ SHARD_FORMAT_VERSION = 3
 _SHARD_KEYS = ("phone_range", "config", "accumulator", "ground_truth", "ingest")
 
 
-def _slice_config(config: CampaignConfig, start: int, stop: int) -> CampaignConfig:
+def slice_config(config: CampaignConfig, start: int, stop: int) -> CampaignConfig:
     """The same campaign restricted to global phone indices [start, stop)."""
     from dataclasses import replace
 
@@ -157,7 +158,7 @@ def plan_shards(
     configs: List[CampaignConfig] = []
     start = 0
     for size in sizes:
-        configs.append(_slice_config(config, start, start + size))
+        configs.append(slice_config(config, start, start + size))
         start += size
     return configs
 
@@ -181,7 +182,7 @@ def split_shard_config(
     if stop - start < 2:
         return None
     mid = (start + stop) // 2
-    return _slice_config(config, start, mid), _slice_config(config, mid, stop)
+    return slice_config(config, start, mid), slice_config(config, mid, stop)
 
 
 @dataclass
@@ -434,7 +435,7 @@ def load_shard_file(path: str) -> ShardResult:
             raise ValueError("entry is not an object")
         if entry.get("format_version") != SUMMARY_FORMAT_VERSION:
             raise ValueError(
-                f"cache entry format {entry.get('format_version')!r}"
+                f"commit envelope format {entry.get('format_version')!r}"
             )
         return ShardResult.from_dict(entry["summary"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -465,6 +466,14 @@ def read_committed_shard(path: str, campaign: Dict[str, Any]) -> ShardResult:
     result.
     """
     result = load_shard_file(path)
+    _check_committed(result, path, campaign)
+    return result
+
+
+def _check_committed(
+    result: ShardResult, path: str, campaign: Dict[str, Any]
+) -> None:
+    """:func:`read_committed_shard`'s checks on an already loaded file."""
     if _campaign_identity(result.config) != campaign:
         raise ValueError(f"shard file {path!r} belongs to another campaign")
     accumulator = result.accumulator
@@ -491,37 +500,59 @@ def read_committed_shard(path: str, campaign: Dict[str, Any]) -> ShardResult:
             f"shard file {path!r} covers {result.phone_range!r}, beyond "
             f"the fleet"
         )
-    return result
+
+
+def scan_run_dir(
+    directory: str, configs: Sequence[CampaignConfig]
+) -> List[List[CommittedShard]]:
+    """Every committed shard of each of ``configs`` in ``directory``,
+    by range start, in ``configs`` order.
+
+    The directory is listed once and each file parsed once, then
+    matched to the campaign its config names, so a sweep's resume scan
+    costs one pass over the run directory however many campaigns share
+    it.  Each match goes through :func:`read_committed_shard`'s checks
+    and anything they reject is skipped.  A campaign's list may hold
+    overlapping ranges (interrupted runs with different tilings);
+    :func:`adopt_disjoint` picks among them.
+    """
+    campaigns = [config.to_dict() for config in configs]
+    positions: Dict[str, List[int]] = {}
+    for index, campaign in enumerate(campaigns):
+        positions.setdefault(json.dumps(campaign, sort_keys=True), []).append(
+            index
+        )
+    found: List[List[CommittedShard]] = [[] for _ in campaigns]
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError:
+        return found
+    for name in names:
+        if not name.endswith(".json"):
+            continue
+        path = os.path.join(directory, name)
+        try:
+            result = load_shard_file(path)
+        except ValueError:
+            continue
+        identity = json.dumps(_campaign_identity(result.config), sort_keys=True)
+        for index in positions.get(identity, ()):
+            try:
+                _check_committed(result, path, campaigns[index])
+            except ValueError:
+                continue
+            found[index].append(CommittedShard(result.phone_range, path))
+    for shards in found:
+        shards.sort(key=lambda c: c.phone_range)
+    return found
 
 
 def scan_committed_shards(
     cache: CampaignCache, config: CampaignConfig
 ) -> List[CommittedShard]:
     """Every committed shard of ``config`` in ``cache``'s run directory,
-    by range start.
-
-    Used by the resume path after a crash; each file goes through
-    :func:`read_committed_shard` and anything it rejects is skipped.
-    The result may hold overlapping ranges (interrupted runs with
-    different tilings); :func:`adopt_disjoint` picks among them.
-    """
-    campaign = config.to_dict()
-    try:
-        names = sorted(os.listdir(cache.directory))
-    except OSError:
-        return []
-    found: List[CommittedShard] = []
-    for name in names:
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(cache.directory, name)
-        try:
-            result = read_committed_shard(path, campaign)
-        except ValueError:
-            continue
-        found.append(CommittedShard(result.phone_range, path))
-    found.sort(key=lambda c: c.phone_range)
-    return found
+    by range start (:func:`scan_run_dir` for one campaign)."""
+    return scan_run_dir(cache.directory, [config])[0]
 
 
 def adopt_disjoint(
@@ -549,7 +580,7 @@ def adopt_disjoint(
     return chosen
 
 
-def _resume_plan(
+def resume_plan(
     committed: Sequence[CommittedShard], phone_count: int
 ) -> Tuple[List[CommittedShard], List[Tuple[int, int]]]:
     """Choose reusable committed shards and the gaps left to compute."""
@@ -761,7 +792,7 @@ def run_sharded_campaign(
     shards.  The merge folds the committed files one at a time
     (:func:`merge_shard_files`), so parent peak RSS is flat in shard
     count, and the merged summary is bit-identical to the monolithic
-    run (telemetry counters aside; see module docs).
+    run, its telemetry registry included (see module docs).
 
     ``spill_dir`` is the run directory.  Every run on it first scans
     for shards of this campaign already committed there by an earlier
@@ -791,14 +822,14 @@ def run_sharded_campaign(
         run_dir = spill_dir
     try:
         commits = CampaignCache(run_dir)
-        committed, gaps = _resume_plan(
+        committed, gaps = resume_plan(
             scan_committed_shards(commits, config), config.fleet.phone_count
         )
         if committed:
             backend.stats.resumed_shards += len(committed)
             target = -(-config.fleet.phone_count // shards)
             task_configs = [
-                _slice_config(config, start, stop)
+                slice_config(config, start, stop)
                 for start, stop in _plan_gap_ranges(gaps, target)
             ]
         live_dir: Optional[str] = None
@@ -807,8 +838,8 @@ def run_sharded_campaign(
 
             live_dir = live_dir_for(run_dir)
             _announce_campaign(live_dir, config, shards, backend.workers)
-        completed = backend.execute_shards(
-            [(cfg.fleet.resolved_range(), cfg) for cfg in task_configs],
+        outcome = backend.run(
+            [((0, cfg.fleet.resolved_range()), cfg) for cfg in task_configs],
             ShardTask(
                 telemetry_level=telemetry_level, plan=plan, live_dir=live_dir
             ),
@@ -819,11 +850,14 @@ def run_sharded_campaign(
             live_dir=live_dir,
             progress=progress,
         )
+        failures = outcome.failures()
+        if failures:
+            raise failures[0].error()
         result = merge_shard_files(
             committed
             + [
                 CommittedShard(rng, commits.path_for(cfg))
-                for rng, cfg in completed
+                for (_campaign, rng), cfg in outcome.completed.items()
             ],
             config,
         )

@@ -1,14 +1,14 @@
 """Serializable campaign results.
 
 :class:`CampaignResult` drags the live ``Fleet``/``Simulator`` object
-graph around, so it can neither cross a process boundary nor be cached
+graph around, so it can neither cross a process boundary nor be stored
 on disk.  :class:`CampaignSummary` is the plain-data snapshot of one
 campaign — the configuration, the simulator-side ground truth, and
 every section of the :class:`~repro.analysis.report.ReproductionReport`
 — holding nothing but JSON-native values (strings, numbers, lists,
 string-keyed dicts).  Like an offline replay pipeline, every consumer
-downstream of the runner (benchmarks, the sweep CLI, the cache) works
-from summaries, never from simulator internals.
+downstream of the runner (benchmarks, the sweep CLI, the merge of
+committed shards) works from summaries, never from simulator internals.
 
 ``to_dict()``/``from_dict()`` round-trip exactly, including through
 ``json.dumps``/``json.loads``.

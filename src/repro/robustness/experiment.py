@@ -8,10 +8,11 @@ in a structured report rather than an unhandled exception — the same
 bar Cotroneo et al. set for Android's logging stack.
 
 The experiment also carries an optional *resilience probe*: a small
-multi-seed sweep run through the pooled runner with injected worker
-crashes/hangs and a cache corrupted under its feet, reporting how much
-the self-healing machinery (per-campaign retry, watchdog, cache
-eviction) recovered.
+multi-seed sweep run through the sweep runner with injected worker
+crashes/hangs, then rerun on its run directory with committed shards
+corrupted under its feet, reporting how much the self-healing machinery
+(per-shard retry, watchdog, the ledger's refusal of torn commits)
+recovered and whether the rerun reproduced the first sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from repro.core.rand import Stream, derive_seed
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import CampaignResult, run_campaign
 from repro.experiments.config import CampaignConfig
+from repro.experiments.executors import WorkQueueExecutor
 from repro.experiments.runner import run_campaigns_resilient
+from repro.experiments.shard import slice_config
 from repro.experiments.summary import (
     HEADLINE_KEYS,
     CampaignSummary,
@@ -169,8 +172,13 @@ class ResilienceProbe:
     completed: int
     recovered: int
     failures: List[Dict[str, object]]
-    cache_evictions: int
-    cache_hits: int
+    #: Committed shard files garbled or torn before the rerun.
+    commits_corrupted: int
+    #: Committed shards the rerun adopted instead of executing.
+    shards_resumed: int
+    #: Whether the rerun returned every campaign the first sweep
+    #: completed with an equal summary.
+    identical: bool
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -178,8 +186,9 @@ class ResilienceProbe:
             "completed": self.completed,
             "recovered": self.recovered,
             "failures": self.failures,
-            "cache_evictions": self.cache_evictions,
-            "cache_hits": self.cache_hits,
+            "commits_corrupted": self.commits_corrupted,
+            "shards_resumed": self.shards_resumed,
+            "identical": self.identical,
         }
 
 
@@ -253,10 +262,12 @@ class RobustnessReport:
             probe = self.resilience
             lines += [
                 "",
-                "Self-healing probe (faulty workers + corrupted cache):",
+                "Self-healing probe (faulty workers + corrupted shard commits):",
                 f"  campaigns completed:   {probe.completed}/{len(probe.seeds)}",
                 f"  recovered by retry:    {probe.recovered}",
-                f"  cache evictions:       {probe.cache_evictions}",
+                f"  commits corrupted:     {probe.commits_corrupted}",
+                f"  shards resumed:        {probe.shards_resumed}",
+                f"  rerun identical:       {'yes' if probe.identical else 'NO'}",
                 f"  unrecovered failures:  {len(probe.failures)}",
             ]
         return "\n".join(lines)
@@ -326,13 +337,14 @@ def run_resilience_probe(
     retries: int = 2,
     cache_dir: Optional[str] = None,
 ) -> ResilienceProbe:
-    """Exercise the worker- and cache-layer defenses in one sweep.
+    """Exercise the worker- and commit-layer defenses in one sweep.
 
     Runs ``seeds`` campaigns through the sweep runner with a
     :class:`FaultyCampaignTask` (injected crashes/stalls, healed by
-    retry and the watchdog), then corrupts every cache entry in place
-    and sweeps again — the cache must evict the garbage, recompute, and
-    still return a complete result set.
+    retry and the watchdog), then corrupts committed shard files in
+    the run directory (``cache_dir``, else a temp dir) and sweeps again
+    on it — the ledger must refuse the garbage, recompute those ranges,
+    adopt the rest, and return the same summaries as the first sweep.
     """
     from dataclasses import replace
 
@@ -340,42 +352,51 @@ def run_resilience_probe(
     task = FaultyCampaignTask(plan)
     timeout = plan.worker_hang_seconds * 4 if plan.worker_hang_rate else None
     with tempfile.TemporaryDirectory() as fallback_dir:
-        cache = CampaignCache(cache_dir if cache_dir else fallback_dir)
+        run_dir = cache_dir if cache_dir else fallback_dir
         manifest = run_campaigns_resilient(
             configs,
             workers=workers,
-            cache=cache,
+            run_dir=run_dir,
             task=task,
             retries=retries,
             timeout=timeout,
         )
-        # Corrupt every entry the sweep just wrote, then sweep again:
-        # the cache should evict and recompute, not crash or serve junk.
+        # Corrupt the commits the sweep just wrote (one whole-fleet
+        # shard per campaign), then sweep again on the same run dir:
+        # a torn or garbled commit must be recomputed, not adopted.
+        commits = CampaignCache(run_dir)
         stream = Stream(derive_seed(plan.seed, "cache-probe"))
         rate = plan.cache_corrupt_rate + plan.cache_truncate_rate
+        corrupted = 0
         for index, cfg in enumerate(configs):
             if rate and stream.bernoulli(min(rate * 10, 1.0)):
-                corrupt_cache_entry(
-                    cache, cfg, stream, truncate=bool(index % 2)
+                corrupted += corrupt_cache_entry(
+                    commits,
+                    slice_config(cfg, 0, cfg.fleet.phone_count),
+                    stream,
+                    truncate=bool(index % 2),
                 )
+        rerun = WorkQueueExecutor(1)
         second = run_campaigns_resilient(
             configs,
-            workers=1,
-            cache=cache,
+            run_dir=run_dir,
             task=task,
             retries=retries,
-        )
-        completed = sum(
-            1 for summary in second.summaries if summary is not None
+            executor=rerun,
         )
         return ResilienceProbe(
             seeds=list(seeds),
-            completed=completed,
+            completed=len(second.completed_summaries()),
             recovered=manifest.recovered + second.recovered,
             failures=[
                 failure.to_dict()
                 for failure in manifest.failures + second.failures
             ],
-            cache_evictions=cache.evictions,
-            cache_hits=cache.hits,
+            commits_corrupted=corrupted,
+            shards_resumed=rerun.stats.resumed_shards,
+            identical=all(
+                again is not None and again.to_dict() == first.to_dict()
+                for first, again in zip(manifest.summaries, second.summaries)
+                if first is not None
+            ),
         )

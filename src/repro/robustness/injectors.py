@@ -7,10 +7,10 @@ Three injection surfaces, one per pipeline stage:
   back: truncated tails, garbled bytes, flash-full eviction) and the
   transfer layer (failed attempts, duplicated and withheld/reordered
   batches, per-phone clock skew);
-* :class:`FaultyCampaignTask` — a drop-in worker task for the pooled
+* :class:`FaultyCampaignTask` — a drop-in shard task for the sweep
   runner that crashes or stalls on schedule;
-* :func:`corrupt_cache_entry` — flips or truncates an on-disk summary
-  cache file under the cache's feet.
+* :func:`corrupt_cache_entry` — flips or truncates a committed shard
+  file in a run directory under the ledger's feet.
 
 Every roll comes from named streams derived from the plan's own seed
 (:class:`repro.core.rand.RandomStreams`), per phone — so injection is
@@ -27,8 +27,7 @@ from repro.core.errors import ReproError
 from repro.core.rand import RandomStreams, Stream, derive_seed
 from repro.core.records import BootRecord, wire_time
 from repro.experiments.config import CampaignConfig
-from repro.experiments.runner import summarize_campaign
-from repro.experiments.summary import CampaignSummary
+from repro.experiments.shard import ShardResult, ShardTask
 from repro.logger.logfile import LogEntry, serialize_entry
 from repro.logger.transfer import TransferBatch, TransferError
 from repro.observability.telemetry import current_telemetry
@@ -222,8 +221,8 @@ class WorkerFaultError(ReproError):
     """An injected campaign-worker crash."""
 
 
-class FaultyCampaignTask:
-    """A sweep-runner task that crashes or stalls on schedule.
+class FaultyCampaignTask(ShardTask):
+    """A sweep-runner shard task that crashes or stalls on schedule.
 
     Rolls are keyed on ``(plan seed, campaign seed, attempt)``, so a
     campaign that crashes on its first attempt usually succeeds on
@@ -236,12 +235,13 @@ class FaultyCampaignTask:
     accepts_attempt = True
 
     def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
+        # The plan drives the worker faults only: the shard's own
+        # collection path stays clean, so a healed run is bit-identical.
+        super().__init__()
+        self.worker_plan = plan
 
-    def __call__(
-        self, config: CampaignConfig, attempt: int = 0
-    ) -> CampaignSummary:
-        plan = self.plan
+    def __call__(self, config: CampaignConfig, attempt: int = 0) -> ShardResult:
+        plan = self.worker_plan
         stream = Stream(
             derive_seed(plan.seed, f"worker:{config.seed}:{attempt}")
         )
@@ -253,10 +253,10 @@ class FaultyCampaignTask:
             # A stall, not an infinite hang: long enough to trip any
             # sensible watchdog timeout, short enough for test suites.
             time.sleep(plan.worker_hang_seconds)
-        return summarize_campaign(config)
+        return super().__call__(config)
 
 
-# -- cache layer ----------------------------------------------------------------
+# -- commit layer ---------------------------------------------------------------
 
 
 def corrupt_cache_entry(
@@ -265,7 +265,7 @@ def corrupt_cache_entry(
     stream: Stream,
     truncate: bool = False,
 ) -> bool:
-    """Corrupt the on-disk cache entry for ``config``, if present.
+    """Corrupt the file ``cache`` committed for ``config``, if present.
 
     ``truncate`` chops the JSON mid-document (a torn write); otherwise
     a byte in the middle is garbled.  Returns whether a file existed.

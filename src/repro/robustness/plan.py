@@ -8,9 +8,10 @@ pair replays bit-for-bit, independent of the simulation's own streams.
 
 Rates are per-opportunity probabilities: per entry for the storage
 layer, per batch/attempt for the transfer layer, per attempt for the
-worker layer, per cache entry for the cache layer.  ``scaled(x)``
-multiplies every rate (clamped to 1.0) and the clock-skew bound, which
-is how the degradation-curve experiment sweeps intensity with one knob.
+worker layer, per committed shard file for the cache layer.
+``scaled(x)`` multiplies every rate (clamped to 1.0) and the clock-skew
+bound, which is how the degradation-curve experiment sweeps intensity
+with one knob.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class FaultPlan:
       skew applied to shipped timestamps;
     * **worker** — the pooled campaign runner: a worker process that
       crashes, or hangs past the watchdog timeout;
-    * **cache** — on-disk summary snapshots corrupted or truncated
-      under the cache's feet.
+    * **cache** — committed shard files in a sweep's run directory
+      garbled or truncated under the ledger's feet.
     """
 
     seed: int = 777

@@ -446,10 +446,12 @@ class TestSweepCommand:
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert "0 hits, 2 misses" in first
+        assert first.endswith(f"run dir {tmp_path}: 0 resumed, 2 executed\n")
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert "2 hits, 0 misses" in second
+        assert second.endswith(f"run dir {tmp_path}: 2 resumed, 0 executed\n")
+        # The seed table and headline comparison are the same bytes.
+        assert first.rsplit("run dir", 1)[0] == second.rsplit("run dir", 1)[0]
 
     def test_sweep_rejects_bad_seeds(self, capsys):
         assert main(["sweep", "--seeds", "5,banana"]) == 1

@@ -169,8 +169,9 @@ def test_workqueue_steals_from_skewed_plan(tmp_path):
     mono = CampaignSummary.from_result(run_campaign(config))
     plan = plan_shards(config, 2, weights=[11, 1])
     backend = WorkQueueExecutor(2, min_split_phones=2)
-    completed = backend.execute_shards(
-        [(c.fleet.resolved_range(), c) for c in plan],
+    completed = execute(
+        backend,
+        plan,
         ShardTask(),
         str(tmp_path),
         splitter=split_shard_config,
@@ -199,6 +200,22 @@ def _commit_path(tmp_path, config):
     return CampaignCache(str(tmp_path)).path_for(config)
 
 
+def execute(backend, plan, task, commit_dir, **options):
+    """Run one campaign's shard plan; returns the committed tiling as
+    ``(phone_range, config)`` pairs, raising on the first failure."""
+    outcome = backend.run(
+        [((0, c.fleet.resolved_range()), c) for c in plan],
+        task,
+        commit_dir,
+        **options,
+    )
+    failures = outcome.failures()
+    if failures:
+        raise failures[0].error()
+    assert all(campaign == 0 for campaign, _rng in outcome.completed)
+    return [(rng, cfg) for (_c, rng), cfg in sorted(outcome.completed.items())]
+
+
 # -- failure identity -----------------------------------------------------------
 
 
@@ -221,12 +238,7 @@ def test_workqueue_failure_carries_phone_range(tmp_path):
     victim = plan[1].fleet.phone_range
     backend = WorkQueueExecutor(2, steal=False)
     with pytest.raises(CampaignExecutionError) as excinfo:
-        backend.execute_shards(
-            [(c.fleet.resolved_range(), c) for c in plan],
-            ExplodeRange(victim[0]),
-            str(tmp_path),
-                retries=1,
-        )
+        execute(backend, plan, ExplodeRange(victim[0]), str(tmp_path), retries=1)
     err = excinfo.value
     assert err.phone_range == victim
     assert f"phones [{victim[0]}, {victim[1]})" in str(err)
@@ -293,8 +305,9 @@ def test_workqueue_heals_killed_worker(tmp_path):
     # and healing *must* go through a respawn (with one victim a
     # survivor may soak up the requeued shard and no restart is needed).
     backend = WorkQueueExecutor(2, steal=False)
-    completed = backend.execute_shards(
-        [(c.fleet.resolved_range(), c) for c in plan],
+    completed = execute(
+        backend,
+        plan,
         MurderousTask(victims, flag, os.getpid()),
         str(tmp_path / "commits"),
         retries=0,
@@ -351,8 +364,9 @@ def test_workqueue_watchdog_reclaims_hung_worker(tmp_path):
     victim = plan[1].fleet.phone_range
     flag = str(tmp_path / "hung.flag")
     backend = WorkQueueExecutor(2, steal=False)
-    completed = backend.execute_shards(
-        [(c.fleet.resolved_range(), c) for c in plan],
+    completed = execute(
+        backend,
+        plan,
         HangOnce(victim[0], flag, os.getpid()),
         str(tmp_path / "commits"),
         retries=1,

@@ -2,8 +2,8 @@
 
 The acceptance bar: parallel execution must be bit-for-bit identical
 to serial execution (compared through ``CampaignSummary.to_dict()``),
-cached re-runs must not execute anything, and a poisoned worker must
-surface its seed in the raised error.
+a rerun on the same run directory must not execute anything, and a
+poisoned worker must surface its seed in the raised error.
 """
 
 import json
@@ -19,9 +19,15 @@ from repro.experiments.runner import (
     CampaignExecutionError,
     run_campaigns,
     run_campaigns_resilient,
-    summarize_campaign,
 )
-from repro.experiments.shard import ShardTask, plan_shards
+from repro.experiments.shard import (
+    ShardResult,
+    ShardTask,
+    load_shard_file,
+    plan_shards,
+    scan_committed_shards,
+    slice_config,
+)
 from repro.experiments.summary import (
     SECTION_KEYS,
     SUMMARY_FORMAT_VERSION,
@@ -39,19 +45,34 @@ def tiny_config(seed: int) -> CampaignConfig:
     )
 
 
-def poison_task(config: CampaignConfig) -> CampaignSummary:
+def whole(config: CampaignConfig) -> CampaignConfig:
+    """The one-shard slice a sweep commits ``config`` under."""
+    return slice_config(config, 0, config.fleet.phone_count)
+
+
+class PoisonTask(ShardTask):
     """Worker task that fails on seed 8 (module-level: picklable)."""
-    if config.seed == 8:
-        raise ValueError("poisoned campaign")
-    return summarize_campaign(config)
+
+    def __call__(self, config: CampaignConfig) -> ShardResult:
+        if config.seed == 8:
+            raise ValueError("poisoned campaign")
+        return super().__call__(config)
 
 
-def explode_task(config: CampaignConfig) -> CampaignSummary:
-    """Worker task that always fails — proves cached runs never execute."""
-    raise AssertionError(f"should not have executed seed {config.seed}")
+poison_task = PoisonTask()
 
 
-class FlakyTask:
+class ExplodeTask(ShardTask):
+    """Worker task that always fails — proves resumed runs never execute."""
+
+    def __call__(self, config: CampaignConfig) -> ShardResult:
+        raise AssertionError(f"should not have executed seed {config.seed}")
+
+
+explode_task = ExplodeTask()
+
+
+class FlakyTask(ShardTask):
     """Fails seed 8's first attempt, then heals (picklable instance)."""
 
     accepts_attempt = True
@@ -59,10 +80,10 @@ class FlakyTask:
     def __call__(self, config: CampaignConfig, attempt: int = 0):
         if config.seed == 8 and attempt == 0:
             raise ValueError("transient worker fault")
-        return summarize_campaign(config)
+        return super().__call__(config)
 
 
-class HangTask:
+class HangTask(ShardTask):
     """Stalls seed 8's first attempt past any sub-second watchdog."""
 
     accepts_attempt = True
@@ -70,7 +91,7 @@ class HangTask:
     def __call__(self, config: CampaignConfig, attempt: int = 0):
         if config.seed == 8 and attempt == 0:
             time.sleep(3.0)
-        return summarize_campaign(config)
+        return super().__call__(config)
 
 
 @pytest.fixture(scope="module")
@@ -269,43 +290,110 @@ class TestSelfHealing:
 
 
 class TestCacheIntegration:
+    """The run directory: a sweep rerun adopts its committed shards."""
+
     def test_cached_rerun_hits_and_skips_execution(
         self, tmp_path, serial_summaries
     ):
-        cache = CampaignCache(str(tmp_path))
         configs = [tiny_config(seed) for seed in SEEDS]
-        first = run_campaigns(configs, workers=1, cache=cache)
-        assert cache.misses == len(SEEDS) and cache.hits == 0
-        assert len(cache) == len(SEEDS)
-        # Second run: everything cached — the exploding task proves no
-        # campaign executes, and the results are still identical.
-        second = run_campaigns(configs, workers=1, cache=cache, task=explode_task)
-        assert cache.hits == len(SEEDS)
+        first = run_campaigns_resilient(configs, run_dir=str(tmp_path))
+        assert first.resumed == 0
+        # Second run: everything committed — the exploding task proves
+        # no shard executes, and the results are still identical.
+        second = run_campaigns_resilient(
+            configs, run_dir=str(tmp_path), task=explode_task, retries=0
+        )
+        assert second.resumed == len(SEEDS)
+        assert [s.to_dict() for s in second.summaries_or_raise()] == [
+            s.to_dict() for s in first.summaries_or_raise()
+        ]
+        assert [s.to_dict() for s in first.summaries] == [
+            s.to_dict() for s in serial_summaries
+        ]
+
+    def test_partial_cache_runs_only_misses(self, tmp_path):
+        run_campaigns([tiny_config(7)], workers=1, run_dir=str(tmp_path))
+        manifest = run_campaigns_resilient(
+            [tiny_config(seed) for seed in SEEDS], run_dir=str(tmp_path)
+        )
+        assert [s.seed for s in manifest.summaries_or_raise()] == SEEDS
+        assert manifest.resumed == 1
+        assert len(os.listdir(tmp_path)) == len(SEEDS)
+
+    def test_rerun_executes_no_task(
+        self, tmp_path, monkeypatch, serial_summaries
+    ):
+        """The same property through the real task class: with
+        ``ShardTask.__call__`` disabled, the rerun still returns every
+        summary, bit-identical to the first run."""
+        configs = [tiny_config(seed) for seed in SEEDS]
+        first = run_campaigns(configs, workers=2, run_dir=str(tmp_path))
+
+        def no_task(self, shard_config):
+            raise AssertionError(f"executed seed {shard_config.seed}")
+
+        monkeypatch.setattr(ShardTask, "__call__", no_task)
+        second = run_campaigns(configs, workers=1, run_dir=str(tmp_path))
         assert [s.to_dict() for s in second] == [s.to_dict() for s in first]
         assert [s.to_dict() for s in first] == [
             s.to_dict() for s in serial_summaries
         ]
 
-    def test_partial_cache_runs_only_misses(self, tmp_path):
-        cache = CampaignCache(str(tmp_path))
-        run_campaigns([tiny_config(7)], workers=1, cache=cache)
-        summaries = run_campaigns(
-            [tiny_config(seed) for seed in SEEDS], workers=1, cache=cache
+    def test_foreign_files_are_never_adopted(self, tmp_path, serial_summaries):
+        """A run dir that also holds a summary-cache entry written before
+        sweeps committed shards, a torn commit, and another seed's shards
+        gives the same summaries, adopting none of those files."""
+        configs = [tiny_config(seed) for seed in SEEDS]
+        commits = CampaignCache(str(tmp_path))
+        # A pre-change summary-cache entry for seed 7, keyed on the
+        # unsliced config as that cache did.
+        legacy = commits.path_for(configs[0])
+        with open(legacy, "w", encoding="utf-8") as handle:
+            json.dump(
+                {
+                    "key": campaign_cache_key(configs[0]),
+                    "format_version": SUMMARY_FORMAT_VERSION,
+                    "summary": serial_summaries[0].to_dict(),
+                },
+                handle,
+            )
+        # A torn commit of seed 8's whole-fleet shard.
+        torn = commits.put(whole(configs[1]), ShardTask()(whole(configs[1])))
+        with open(torn, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        with open(torn, "w", encoding="utf-8") as handle:
+            handle.write(text[: len(text) // 2])
+        # Another seed's committed shards.
+        run_campaigns([tiny_config(99)], run_dir=str(tmp_path))
+        other = commits.path_for(whole(tiny_config(99)))
+        manifest = run_campaigns_resilient(configs, run_dir=str(tmp_path))
+        assert manifest.resumed == 0  # nothing of seeds 7-9 was adoptable
+        assert [s.to_dict() for s in manifest.summaries_or_raise()] == [
+            s.to_dict() for s in serial_summaries
+        ]
+        # Each campaign now holds exactly its own fresh commit (the torn
+        # one rewritten in place); the foreign files are left alone.
+        for config in configs:
+            assert [
+                shard.path for shard in scan_committed_shards(commits, config)
+            ] == [commits.path_for(whole(config))]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(path)
+            for path in [legacy, other]
+            + [commits.path_for(whole(config)) for config in configs]
         )
-        assert [s.seed for s in summaries] == SEEDS
-        assert cache.hits == 1
-        assert len(cache) == len(SEEDS)
 
 
 class TestCache:
+    """The commit store and what the ledger accepts from it."""
+
     def test_put_get_round_trip(self, tmp_path):
         cache = CampaignCache(str(tmp_path))
-        config = tiny_config(7)
-        summary = summarize_campaign(config)
-        cache.put(config, summary)
-        loaded = cache.get(config)
-        assert loaded is not None
-        assert loaded.to_dict() == summary.to_dict()
+        config = whole(tiny_config(7))
+        result = ShardTask()(config)
+        path = cache.put(config, result)
+        assert path == cache.path_for(config)
+        assert load_shard_file(path).to_dict() == result.to_dict()
 
     def test_put_commits_the_json_dumps_text(self, tmp_path):
         """A commit is one ``json.dumps`` of the entry (the C encoder),
@@ -341,79 +429,79 @@ class TestCache:
 
     def test_empty_cache_misses(self, tmp_path):
         cache = CampaignCache(str(tmp_path))
-        assert cache.get(tiny_config(7)) is None
-        assert cache.misses == 1
+        assert scan_committed_shards(cache, tiny_config(7)) == []
 
     def test_corrupt_entry_is_miss(self, tmp_path):
         cache = CampaignCache(str(tmp_path))
-        config = tiny_config(7)
-        cache.put(config, summarize_campaign(config))
+        config = whole(tiny_config(7))
+        cache.put(config, ShardTask()(config))
         with open(cache.path_for(config), "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        assert cache.get(config) is None
+        assert scan_committed_shards(cache, tiny_config(7)) == []
 
     def test_corrupt_entry_is_evicted_from_disk(self, tmp_path):
-        cache = CampaignCache(str(tmp_path))
-        config = tiny_config(7)
-        summary = summarize_campaign(config)
-        cache.put(config, summary)
-        path = cache.path_for(config)
+        """A sweep rerun recomputes a garbled commit and writes the fresh
+        one over it, so the bad bytes cannot shadow the recompute."""
+        configs = [tiny_config(7)]
+        first = run_campaigns(configs, run_dir=str(tmp_path))
+        path = CampaignCache(str(tmp_path)).path_for(whole(configs[0]))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        assert cache.get(config) is None
-        assert cache.evictions == 1
-        assert not os.path.exists(path)  # cannot shadow the recompute
-        cache.put(config, summary)
-        reloaded = cache.get(config)
-        assert reloaded is not None
-        assert reloaded.to_dict() == summary.to_dict()
+        second = run_campaigns_resilient(configs, run_dir=str(tmp_path))
+        assert second.resumed == 0
+        assert second.summaries_or_raise()[0].to_dict() == first[0].to_dict()
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+        assert load_shard_file(path).phone_range == (0, 3)
 
     def test_truncated_entry_is_evicted(self, tmp_path):
-        cache = CampaignCache(str(tmp_path))
-        config = tiny_config(7)
-        cache.put(config, summarize_campaign(config))
-        path = cache.path_for(config)
+        configs = [tiny_config(7)]
+        first = run_campaigns(configs, run_dir=str(tmp_path))
+        path = CampaignCache(str(tmp_path)).path_for(whole(configs[0]))
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text[: len(text) // 2])  # torn write
-        assert cache.get(config) is None
-        assert cache.evictions == 1
-        assert not os.path.exists(path)
-
-    def test_missing_file_is_plain_miss_not_eviction(self, tmp_path):
-        cache = CampaignCache(str(tmp_path))
-        assert cache.get(tiny_config(7)) is None
-        assert cache.evictions == 0
+        second = run_campaigns_resilient(configs, run_dir=str(tmp_path))
+        assert second.resumed == 0
+        assert second.summaries_or_raise()[0].to_dict() == first[0].to_dict()
+        assert load_shard_file(path).phone_range == (0, 3)
 
     def test_runner_recomputes_through_evicted_entry(self, tmp_path):
-        cache = CampaignCache(str(tmp_path))
         configs = [tiny_config(seed) for seed in SEEDS]
-        first = run_campaigns(configs, workers=1, cache=cache)
-        with open(cache.path_for(configs[1]), "w", encoding="utf-8") as handle:
+        first = run_campaigns(configs, workers=1, run_dir=str(tmp_path))
+        path = CampaignCache(str(tmp_path)).path_for(whole(configs[1]))
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write('{"key": "garbage"')
-        second = run_campaigns(configs, workers=1, cache=cache)
-        assert cache.evictions == 1
-        assert cache.hits == 2  # the two untouched entries
-        assert [s.to_dict() for s in second] == [s.to_dict() for s in first]
-        # The recomputed entry landed back in a clean slot.
-        assert os.path.exists(cache.path_for(configs[1]))
+        second = run_campaigns_resilient(
+            configs, workers=1, run_dir=str(tmp_path)
+        )
+        assert second.resumed == 2  # the two untouched commits
+        assert [s.to_dict() for s in second.summaries_or_raise()] == [
+            s.to_dict() for s in first
+        ]
+        # The recomputed commit landed back in a clean slot.
+        assert load_shard_file(path).phone_range == (0, 3)
 
     def test_format_version_mismatch_is_miss(self, tmp_path):
         cache = CampaignCache(str(tmp_path))
-        config = tiny_config(7)
-        cache.put(config, summarize_campaign(config))
-        path = cache.path_for(config)
+        config = whole(tiny_config(7))
+        path = cache.put(config, ShardTask()(config))
         with open(path, "r", encoding="utf-8") as handle:
             entry = json.load(handle)
         entry["format_version"] = SUMMARY_FORMAT_VERSION + 1
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(entry, handle)
-        assert cache.get(config) is None
+        assert scan_committed_shards(cache, tiny_config(7)) == []
 
-    def test_clear(self, tmp_path):
+    def test_garbled_partial_key_is_miss(self, tmp_path):
+        """A commit that still parses but whose phone partial lost a key
+        is refused by the ledger instead of crashing the merge."""
         cache = CampaignCache(str(tmp_path))
-        config = tiny_config(7)
-        cache.put(config, summarize_campaign(config))
-        assert cache.clear() == 1
-        assert len(cache) == 0
+        config = whole(tiny_config(7))
+        path = cache.put(config, ShardTask()(config))
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        assert text.count('"report_kinds"') == 3
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text.replace('"report_kinds"', '"rep#rt_kinds"', 1))
+        assert scan_committed_shards(cache, tiny_config(7)) == []

@@ -12,14 +12,10 @@ import json
 import pytest
 
 from repro.core.clock import MONTH
-from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
-from repro.experiments.runner import (
-    TelemetryTask,
-    run_campaigns,
-    run_campaigns_resilient,
-)
+from repro.experiments.runner import run_campaigns, run_campaigns_resilient
+from repro.experiments.shard import ShardTask
 from repro.experiments.summary import CampaignSummary
 from repro.logger.transfer import CollectionServer, TransferBatch, TransferError
 from repro.observability.export import (
@@ -226,7 +222,7 @@ class TestCampaignTelemetryDeterminism:
 class TestSweepTelemetryMerge:
     def test_four_worker_merge_equals_serial(self):
         configs = [tiny_config(seed) for seed in SEEDS]
-        task = TelemetryTask(TELEMETRY_METRICS)
+        task = ShardTask(telemetry_level=TELEMETRY_METRICS)
         serial = run_campaigns(configs, workers=1, task=task)
         pooled = run_campaigns(configs, workers=4, task=task)
         merged_serial = merge_registries(
@@ -237,11 +233,16 @@ class TestSweepTelemetryMerge:
         ).deterministic_dict()
         assert merged_pooled == merged_serial
         assert merged_pooled["sim.events_fired_total"]["series"][0]["value"] > 0
+        # Each campaign's registry is the one its monolithic run records.
+        for config, summary in zip(configs, serial):
+            assert summary.telemetry == CampaignSummary.from_result(
+                run_campaign(config, telemetry=Telemetry(TELEMETRY_METRICS))
+            ).telemetry
 
     def test_manifest_merged_metrics(self):
         configs = [tiny_config(seed) for seed in SEEDS[:2]]
         manifest = run_campaigns_resilient(
-            configs, task=TelemetryTask(TELEMETRY_METRICS)
+            configs, task=ShardTask(telemetry_level=TELEMETRY_METRICS)
         )
         totals = merge_registries(
             summary.telemetry["metrics"]
@@ -253,8 +254,12 @@ class TestSweepTelemetryMerge:
 # -- failure manifest (satellite: per-attempt wall time + watchdog) -------------
 
 
-def _always_fails(config):
-    raise RuntimeError(f"injected failure for seed {config.seed}")
+class AlwaysFails(ShardTask):
+    def __call__(self, config):
+        raise RuntimeError(f"injected failure for seed {config.seed}")
+
+
+_always_fails = AlwaysFails()
 
 
 class TestFailureManifestTiming:
@@ -312,21 +317,6 @@ class TestDroppedTotal:
         dropped = tel.registry.counter("dropped_total")
         assert dropped.value(site="transfer.delivery_attempt") == 3.0
         assert dropped.value(site="transfer.sync_exhausted") == 2.0
-
-    def test_cache_corrupt_entry_counts_drop(self, tmp_path):
-        cache = CampaignCache(str(tmp_path))
-        config = tiny_config(SEEDS[0])
-        path = cache.path_for(config)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{ not json")
-        tel = Telemetry(TELEMETRY_METRICS)
-        with tel.installed():
-            assert cache.get(config) is None
-        dropped = tel.registry.counter("dropped_total")
-        assert dropped.value(site="cache.corrupt_entry") == 1.0
-        assert tel.registry.counter("cache.evictions_total").total() == 1.0
-        lookups = tel.registry.counter("cache.lookups_total")
-        assert lookups.value(outcome="miss") == 1.0
 
 
 # -- fault instrumentation ------------------------------------------------------

@@ -233,4 +233,9 @@ class TestResilienceProbe:
         assert probe.completed + len(
             {f["seed"] for f in probe.failures}
         ) >= len(probe.seeds)
+        # The rerun over the corrupted run dir recomputed what the
+        # ledger refused, adopted the rest, and changed no summary.
+        assert probe.commits_corrupted >= 1
+        assert probe.shards_resumed == probe.completed - probe.commits_corrupted
+        assert probe.identical
         json.dumps(probe.to_dict())

@@ -40,6 +40,7 @@ from repro.experiments.summary import (
     CampaignSummary,
     headline_figures,
 )
+from repro.observability.telemetry import TELEMETRY_METRICS, Telemetry
 from repro.phone.fleet import FleetConfig
 from repro.robustness.experiment import run_faulty_campaign
 from repro.robustness.plan import FaultPlan
@@ -71,9 +72,35 @@ def monolithic(config) -> CampaignSummary:
     return CampaignSummary.from_result(run_campaign(config))
 
 
-@pytest.mark.parametrize("shards", [1, 3, 7, 25], ids=lambda k: f"K={k}")
-def test_sharded_summary_is_bit_identical(shards, config, monolithic):
-    result = run_sharded_campaign(config, shards=shards)
+@pytest.fixture(scope="module")
+def monolithic_metrics(config) -> CampaignSummary:
+    """The baseline recorded at metrics level (its registry rides in the
+    summary's telemetry)."""
+    return CampaignSummary.from_result(
+        run_campaign(config, telemetry=Telemetry(TELEMETRY_METRICS))
+    )
+
+
+@pytest.mark.parametrize(
+    "shards,telemetry_level",
+    [pytest.param(k, None, id=f"K={k}") for k in (1, 3, 7, 25)]
+    + [
+        pytest.param(k, TELEMETRY_METRICS, id=f"K={k}-metrics")
+        for k in (1, 3, 7)
+    ],
+)
+def test_sharded_summary_is_bit_identical(
+    shards, telemetry_level, config, monolithic, request
+):
+    """Any tiling reproduces the monolithic summary — with metrics on,
+    the merged per-shard registries included, since every counter is
+    a sum over phones."""
+    if telemetry_level is not None:
+        monolithic = request.getfixturevalue("monolithic_metrics")
+        assert monolithic.telemetry["metrics"]
+    result = run_sharded_campaign(
+        config, shards=shards, telemetry_level=telemetry_level
+    )
     assert canonical(result.summary.to_dict()) == canonical(
         monolithic.to_dict()
     )
