@@ -10,8 +10,11 @@ from repro.analysis.tables import render_table
 
 
 def test_ext_downtime_availability(benchmark, campaign):
+    report = campaign.report
     stats = benchmark(
-        compute_downtime, campaign.dataset, campaign.report.study
+        compute_downtime,
+        report.study,
+        report.availability.observed_hours_total,
     )
 
     rows = [

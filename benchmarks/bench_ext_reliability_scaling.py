@@ -25,9 +25,7 @@ WORKERS = min(3, os.cpu_count() or 1)
 
 
 def test_ext_reliability_fits(benchmark, campaign):
-    rel = benchmark(
-        compute_reliability, campaign.dataset, campaign.report.study
-    )
+    rel = benchmark(compute_reliability, campaign.report.study)
 
     rows = []
     for kind in ("freeze", "self_shutdown", "combined"):

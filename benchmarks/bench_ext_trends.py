@@ -12,7 +12,9 @@ from repro.analysis.trends import compute_trends
 
 def test_ext_temporal_structure(benchmark, campaign):
     events = hl_events_from_study(campaign.report.study)
-    trends = benchmark(compute_trends, campaign.dataset, events)
+    trends = benchmark(
+        compute_trends, campaign.report.accumulator, events
+    )
 
     hours = sorted(trends.hourly_percent)
     rows = [

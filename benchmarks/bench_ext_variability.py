@@ -18,9 +18,8 @@ from repro.phone.fleet import FleetConfig
 
 
 def test_ext_fleet_variability(benchmark, campaign):
-    stats = benchmark(
-        compute_variability, campaign.dataset, campaign.report.study
-    )
+    report = campaign.report
+    stats = benchmark(compute_variability, report.accumulator, report.study)
 
     print()
     print(

@@ -7,13 +7,13 @@ filter outcome (471 events, 24.2% of the 1778 shutdown events), the
 
 from benchmarks.conftest import emit
 
-from repro.analysis.shutdowns import compute_shutdown_study
+from repro.analysis.report import build_report
 from repro.experiments import paper
 from repro.experiments.compare import Comparison
 
 
 def test_fig2_reboot_durations(benchmark, campaign):
-    study = benchmark(compute_shutdown_study, campaign.dataset)
+    study = benchmark(build_report, campaign.dataset).study
 
     print()
     print(campaign.report.render_figure2())

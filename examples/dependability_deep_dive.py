@@ -40,7 +40,9 @@ def main() -> None:
     print(report.render_headline())
 
     # -- downtime --------------------------------------------------------
-    downtime = compute_downtime(result.dataset, report.study)
+    downtime = compute_downtime(
+        report.study, report.availability.observed_hours_total
+    )
     print()
     print("Downtime")
     print("--------")
@@ -60,7 +62,7 @@ def main() -> None:
     print()
     print("Inter-failure time modelling")
     print("----------------------------")
-    for kind, stats in compute_reliability(result.dataset, report.study).items():
+    for kind, stats in compute_reliability(report.study).items():
         if stats.exponential is None:
             continue
         print(
@@ -71,7 +73,7 @@ def main() -> None:
         )
 
     # -- variability -------------------------------------------------------
-    variability = compute_variability(result.dataset, report.study)
+    variability = compute_variability(report.accumulator, report.study)
     print()
     print("Fleet variability")
     print("-----------------")
@@ -88,7 +90,7 @@ def main() -> None:
 
     # -- temporal structure ---------------------------------------------------
     events = hl_events_from_study(report.study)
-    trends = compute_trends(result.dataset, events)
+    trends = compute_trends(report.accumulator, events)
     print()
     print("Temporal structure")
     print("------------------")

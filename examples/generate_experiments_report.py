@@ -37,7 +37,7 @@ def main() -> None:
         print(f"  {threshold:>6}s -> {len(report.study.self_shutdowns(threshold))}")
 
     print("\n== EXT reliability ==")
-    for kind, stats in compute_reliability(result.dataset, report.study).items():
+    for kind, stats in compute_reliability(report.study).items():
         print(
             f"  {kind}: n={stats.sample_size} mean={stats.mean_hours:.1f}h "
             f"shape={stats.weibull_shape:.3f} "
@@ -46,7 +46,7 @@ def main() -> None:
         )
 
     print("\n== EXT variability ==")
-    variability = compute_variability(result.dataset, report.study)
+    variability = compute_variability(report.accumulator, report.study)
     print(
         f"  pooled={variability.pooled_rate_per_khr:.2f}/1000h "
         f"chi2={variability.chi_square:.1f} dof={variability.degrees_of_freedom} "
@@ -64,7 +64,7 @@ def main() -> None:
     )
 
     print("\n== EXT trends ==")
-    trends = compute_trends(result.dataset, events)
+    trends = compute_trends(report.accumulator, events)
     print(
         f"  waking share={trends.waking_share():.1f}% "
         f"peak hour={trends.peak_hour:02d}:00 "

@@ -50,12 +50,7 @@ from repro.analysis.variability import (
     compute_variability,
 )
 from repro.analysis.report import ReproductionReport, build_report
-from repro.analysis.shutdowns import (
-    FreezeEvent,
-    ShutdownEvent,
-    ShutdownStudy,
-    compute_shutdown_study,
-)
+from repro.analysis.shutdowns import FreezeEvent, ShutdownEvent, ShutdownStudy
 from repro.analysis.streaming import CampaignAccumulator
 
 __all__ = [
@@ -64,7 +59,6 @@ __all__ = [
     "ShutdownStudy",
     "ShutdownEvent",
     "FreezeEvent",
-    "compute_shutdown_study",
     "AvailabilityStats",
     "PanicTable",
     "OutputFailureStats",

@@ -18,14 +18,9 @@ behind the paper's "everyday dependability" remark [16].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.analysis.ingest import Dataset
-from repro.analysis.shutdowns import (
-    SELF_SHUTDOWN_THRESHOLD,
-    ShutdownStudy,
-    compute_shutdown_study,
-)
+from repro.analysis.shutdowns import SELF_SHUTDOWN_THRESHOLD, ShutdownStudy
 
 
 @dataclass(frozen=True)
@@ -97,13 +92,12 @@ def _outage_class(kind: str, durations: List[float]) -> OutageClass:
 
 
 def compute_downtime(
-    dataset: Dataset,
-    study: Optional[ShutdownStudy] = None,
+    study: ShutdownStudy,
+    observed_hours: float,
     threshold: float = SELF_SHUTDOWN_THRESHOLD,
 ) -> DowntimeStats:
-    """Reconstruct per-outage durations and aggregate them."""
-    if study is None:
-        study = compute_shutdown_study(dataset)
+    """Reconstruct per-outage durations and aggregate them over the
+    fleet's summed ``observed_hours``."""
     freeze_durations = [
         freeze.detected_at - freeze.last_alive for freeze in study.freezes
     ]
@@ -115,5 +109,5 @@ def compute_downtime(
     return DowntimeStats(
         freeze=_outage_class("freeze", freeze_durations),
         self_shutdown=_outage_class("self_shutdown", shutdown_durations),
-        observed_hours=dataset.total_observed_hours(),
+        observed_hours=observed_hours,
     )

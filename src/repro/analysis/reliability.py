@@ -24,8 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.coalescence import HL_FREEZE, HL_SELF_SHUTDOWN, HlEvent
-from repro.analysis.ingest import Dataset
+from repro.analysis.coalescence import (
+    HL_FREEZE,
+    HL_SELF_SHUTDOWN,
+    HlEvent,
+    hl_events_from_study,
+)
 from repro.analysis.shutdowns import ShutdownStudy
 from repro.core.clock import HOUR
 
@@ -150,14 +154,8 @@ def fit_reliability(
     return ReliabilityStats(kind, intervals, exponential, weibull)
 
 
-def compute_reliability(
-    dataset: Dataset,
-    study: ShutdownStudy,
-) -> Dict[str, ReliabilityStats]:
+def compute_reliability(study: ShutdownStudy) -> Dict[str, ReliabilityStats]:
     """Fit interval models for freezes, self-shutdowns, and both."""
-    from repro.analysis.coalescence import hl_events_from_study
-
-    del dataset  # intervals come from the study's events
     events = hl_events_from_study(study)
     return {
         "freeze": fit_reliability(

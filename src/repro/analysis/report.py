@@ -8,7 +8,7 @@ from typing import Dict, List
 from repro.analysis.activity import ACTIVITY_COLUMNS, ActivityTable
 from repro.analysis.availability import AvailabilityStats
 from repro.analysis.bursts import BurstStats
-from repro.analysis.coalescence import DEFAULT_WINDOW
+from repro.analysis.coalescence import DEFAULT_WINDOW, hl_events_from_study
 from repro.analysis.hl_relationship import HlRelationship
 from repro.analysis.ingest import Dataset
 from repro.analysis.output_failures import OutputFailureStats
@@ -21,9 +21,10 @@ from repro.analysis.tables import render_table
 
 @dataclass
 class ReproductionReport:
-    """Every analysis result for one campaign dataset."""
+    """Every analysis result for one campaign's per-phone partials."""
 
-    dataset: Dataset
+    #: The partials the sections came from (render_extended reads them).
+    accumulator: CampaignAccumulator
     study: ShutdownStudy
     availability: AvailabilityStats
     panic_table: PanicTable
@@ -32,6 +33,24 @@ class ReproductionReport:
     activity: ActivityTable
     runapps: RunningAppsStats
     output_failures: OutputFailureStats
+
+    @classmethod
+    def from_accumulator(
+        cls, accumulator: CampaignAccumulator
+    ) -> "ReproductionReport":
+        """The report of a campaign's merged partials (one finalize)."""
+        sections = accumulator.finalize()
+        return cls(
+            accumulator=accumulator,
+            study=sections["shutdowns"],
+            availability=sections["availability"],
+            panic_table=sections["panics"],
+            bursts=sections["bursts"],
+            hl=sections["hl"],
+            activity=sections["activity"],
+            runapps=sections["runapps"],
+            output_failures=sections["output_failures"],
+        )
 
     # -- serialization ---------------------------------------------------------
 
@@ -209,7 +228,6 @@ class ReproductionReport:
     def render_extended(self) -> str:
         """The paper report plus the extension analyses (downtime,
         reliability modelling, fleet variability, temporal structure)."""
-        from repro.analysis.coalescence import hl_events_from_study
         from repro.analysis.downtime import compute_downtime
         from repro.analysis.reliability import compute_reliability
         from repro.analysis.trends import compute_trends
@@ -217,7 +235,9 @@ class ReproductionReport:
 
         sections = [self.render()]
 
-        downtime = compute_downtime(self.dataset, self.study)
+        downtime = compute_downtime(
+            self.study, self.availability.observed_hours_total
+        )
         sections.append(
             "Downtime (extension)\n"
             + render_table(
@@ -237,7 +257,7 @@ class ReproductionReport:
             f"({downtime.downtime_minutes_per_month:.0f} min down per month)"
         )
 
-        reliability = compute_reliability(self.dataset, self.study)
+        reliability = compute_reliability(self.study)
         rel_rows = [
             (
                 kind,
@@ -255,7 +275,7 @@ class ReproductionReport:
             )
         )
 
-        variability = compute_variability(self.dataset, self.study)
+        variability = compute_variability(self.accumulator, self.study)
         sections.append(
             "Fleet variability (extension)\n"
             f"pooled rate: {variability.pooled_rate_per_khr:.2f}/1000h; "
@@ -265,7 +285,7 @@ class ReproductionReport:
         )
 
         events = hl_events_from_study(self.study)
-        trends = compute_trends(self.dataset, events)
+        trends = compute_trends(self.accumulator, events)
         sections.append(
             "Temporal structure (extension)\n"
             f"waking-hours share: {trends.waking_share():.1f}% "
@@ -295,16 +315,6 @@ def build_report(
 ) -> ReproductionReport:
     """Run the whole §6 pipeline on a dataset: the per-phone fold of
     :mod:`repro.analysis.streaming` plus its one finalize."""
-    accumulator = CampaignAccumulator.from_dataset(dataset, window=window)
-    sections = accumulator.finalize()
-    return ReproductionReport(
-        dataset=dataset,
-        study=sections["shutdowns"],
-        availability=sections["availability"],
-        panic_table=sections["panics"],
-        bursts=sections["bursts"],
-        hl=sections["hl"],
-        activity=sections["activity"],
-        runapps=sections["runapps"],
-        output_failures=sections["output_failures"],
+    return ReproductionReport.from_accumulator(
+        CampaignAccumulator.from_dataset(dataset, window=window)
     )

@@ -28,14 +28,13 @@ from repro.core.records import (
     BEAT_NONE,
     BEAT_REBOOT,
 )
-from repro.analysis.ingest import Dataset
 
 #: The paper's self-shutdown threshold: reboot durations under 360 s
 #: are assumed to be self-shutdowns.
 SELF_SHUTDOWN_THRESHOLD = 360.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreezeEvent:
     """A freeze, convicted by an ALIVE-last boot."""
 
@@ -51,7 +50,7 @@ class FreezeEvent:
         return self.last_alive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShutdownEvent:
     """A graceful shutdown (REBOOT beat) and its off-time."""
 
@@ -173,9 +172,9 @@ class ShutdownStudy:
 
 @dataclass(frozen=True)
 class PhoneBootClassification:
-    """One phone's boot records classified — the per-phone core of
-    :func:`compute_shutdown_study`, and of the streaming accumulator's
-    per-phone partial."""
+    """One phone's boot records classified — the per-phone core of the
+    streaming accumulator's partial (:func:`assemble_study` joins
+    them into the study)."""
 
     phone_id: str
     freezes: Tuple[FreezeEvent, ...]
@@ -256,14 +255,4 @@ def assemble_study(
         lowbt_count=lowbt,
         maoff_count=maoff,
         first_boot_count=first_boots,
-    )
-
-
-def compute_shutdown_study(dataset: Dataset) -> ShutdownStudy:
-    """Classify every boot record in the dataset."""
-    return assemble_study(
-        [
-            classify_boots(phone_id, log.boots)
-            for phone_id, log in dataset.logs.items()
-        ]
     )

@@ -4,11 +4,12 @@ Every §6 artifact is a sum over phones — panics coalesce with HL
 events on their own phone, MTBF divides events by summed phone-hours,
 bursts never cross phones — so the report is a fold.
 :meth:`CampaignAccumulator.add_phone` reduces each phone's log to its
-partial (classified boots, observation start, record count, burst
-sizes, user-report part and one row per panic — never raw records),
-partials from any number of shards merge as a disjoint union in any
-order, and one finalize pass (:meth:`CampaignAccumulator.finalize`)
-builds the eight typed report sections.
+partial (classified boots, observation start, enrolment, record count,
+burst sizes, user-report part and one row per panic — never raw
+records), partials from any number of shards merge as a disjoint union
+in any order, and one finalize pass (:meth:`CampaignAccumulator.finalize`)
+builds the eight typed report sections; the extension analyses
+(downtime, reliability, variability, trends) read the same partials.
 :func:`~repro.analysis.report.build_report` is this fold over one
 :class:`Dataset`; a sharded campaign folds each shard in its worker
 and merges the partials, so both produce the same report,
@@ -71,7 +72,8 @@ from repro.core.errors import AnalysisError
 from repro.symbian.panics import PanicId
 
 #: Version stamp of the accumulator wire format (committed shard files).
-STREAMING_FORMAT_VERSION = 2
+#: v3 added each phone's enrolment (``enroll``).
+STREAMING_FORMAT_VERSION = 3
 
 #: Figure 6 outcome of a panic, by the HL kind it coalesced with.
 _OUTCOMES = {HL_FREEZE: OUTCOME_FREEZE, HL_SELF_SHUTDOWN: OUTCOME_SELF_SHUTDOWN}
@@ -79,8 +81,8 @@ _OUTCOMES = {HL_FREEZE: OUTCOME_FREEZE, HL_SELF_SHUTDOWN: OUTCOME_SELF_SHUTDOWN}
 #: The keys of one phone's partial (:meth:`CampaignAccumulator.add_phone`).
 _PARTIAL_KEYS = frozenset(
     (
-        "start_time", "records", "freezes", "shutdowns", "lowbt", "maoff",
-        "first_boots", "bursts", "report_kinds", "correlated",
+        "start_time", "enroll", "records", "freezes", "shutdowns", "lowbt",
+        "maoff", "first_boots", "bursts", "report_kinds", "correlated",
         "covered_seconds", "panics",
     )
 )
@@ -195,8 +197,10 @@ class CampaignAccumulator:
                 )
         ordered_panics = sorted(log.panics, key=lambda p: p.time)
         part = phone_report_part(log, self.end_time, self.window)
+        enroll = log.enroll
         self.phones[phone_id] = {
             "start_time": log.start_time,
+            "enroll": [enroll.os_version, enroll.region] if enroll else None,
             "records": log.record_count,
             "freezes": [
                 [freeze.detected_at, freeze.last_alive]
@@ -244,9 +248,9 @@ class CampaignAccumulator:
 
     # -- finalize ----------------------------------------------------------------
 
-    def _ordered(self) -> List[tuple]:
-        """``(phone_id, partial)`` in lexicographic phone-id order — the
-        dataset's iteration order, which every finalize fold follows."""
+    def ordered(self) -> List[tuple]:
+        """``(phone_id, partial)`` in lexicographic phone-id order, which
+        every finalize fold and extension analysis follows."""
         return sorted(self.phones.items())
 
     @property
@@ -261,7 +265,7 @@ class CampaignAccumulator:
     def finalize(self) -> Dict[str, object]:
         """The eight typed report sections, keyed like
         :meth:`~repro.analysis.report.ReproductionReport.to_dict`."""
-        ordered = self._ordered()
+        ordered = self.ordered()
         study = assemble_study(
             [
                 PhoneBootClassification(
@@ -355,7 +359,7 @@ class CampaignAccumulator:
             "window": self.window,
             "gap": self.gap,
             "threshold": self.threshold,
-            "phones": dict(self._ordered()),
+            "phones": dict(self.ordered()),
         }
 
     @classmethod
@@ -371,9 +375,13 @@ class CampaignAccumulator:
                 f"unsupported streaming format version {version!r} "
                 f"(expected {STREAMING_FORMAT_VERSION})"
             )
+        enrolments: Dict[tuple, list] = {}
         for phone_id, partial in payload["phones"].items():
             if not isinstance(partial, dict) or partial.keys() != _PARTIAL_KEYS:
                 raise AnalysisError(f"malformed partial for phone {phone_id!r}")
+            enroll = partial["enroll"]
+            if enroll is not None:  # one list per distinct enrolment
+                partial["enroll"] = enrolments.setdefault(tuple(enroll), enroll)
         return cls(
             end_time=payload["end_time"],
             window=payload["window"],

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.analysis.coalescence import HlEvent
-from repro.analysis.ingest import Dataset
+from repro.analysis.streaming import CampaignAccumulator
 from repro.core.clock import DAY, HOUR, MONTH
 
 
@@ -81,9 +81,10 @@ class TrendStats:
 
 
 def compute_trends(
-    dataset: Dataset, hl_events: Sequence[HlEvent]
+    accumulator: CampaignAccumulator, hl_events: Sequence[HlEvent]
 ) -> TrendStats:
-    """Hour-of-day histogram and month-by-month exposure-corrected rates."""
+    """Hour-of-day histogram and month-by-month exposure-corrected rates
+    (exposure from the phones' partials, in phone-id order)."""
     hour_counts: Dict[int, int] = {}
     for event in hl_events:
         hour = int((event.time % DAY) // HOUR)
@@ -93,14 +94,14 @@ def compute_trends(
         hour: 100.0 * count / total for hour, count in sorted(hour_counts.items())
     } if total else {}
 
-    month_count = int(dataset.end_time // MONTH) + 1
+    month_count = int(accumulator.end_time // MONTH) + 1
     exposure = [0.0] * month_count
     failures = [0] * month_count
-    for log in dataset.logs.values():
-        start = log.start_time
+    for _phone_id, partial in accumulator.ordered():
+        start = partial["start_time"]
         for index in range(month_count):
             lo = index * MONTH
-            hi = min((index + 1) * MONTH, dataset.end_time)
+            hi = min((index + 1) * MONTH, accumulator.end_time)
             overlap = max(0.0, hi - max(lo, start))
             exposure[index] += overlap / HOUR
     for event in hl_events:

@@ -16,10 +16,11 @@ quantifies it from the logs alone:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.ingest import Dataset
+from repro.analysis.ingest import observation_hours
 from repro.analysis.shutdowns import ShutdownStudy
+from repro.analysis.streaming import CampaignAccumulator
 
 
 @dataclass(frozen=True)
@@ -94,25 +95,27 @@ class VariabilityStats:
 
 
 def compute_variability(
-    dataset: Dataset, study: ShutdownStudy
+    accumulator: CampaignAccumulator, study: ShutdownStudy
 ) -> VariabilityStats:
-    """Per-phone rates, homogeneity test, and metadata breakdowns."""
-    freeze_counts: Dict[str, int] = {}
-    for freeze in study.freezes:
-        freeze_counts[freeze.phone_id] = freeze_counts.get(freeze.phone_id, 0) + 1
+    """Per-phone rates, homogeneity test and enrolment-group breakdowns."""
+    freeze_counts = study.freezes_by_phone()
     self_counts: Dict[str, int] = {}
     for event in study.self_shutdowns():
         self_counts[event.phone_id] = self_counts.get(event.phone_id, 0) + 1
 
+    ordered = accumulator.ordered()
     phones = [
         PhoneRate(
             phone_id=phone_id,
-            observed_hours=log.observed_hours(dataset.end_time),
+            observed_hours=observation_hours(
+                partial["start_time"], accumulator.end_time
+            ),
             freezes=freeze_counts.get(phone_id, 0),
             self_shutdowns=self_counts.get(phone_id, 0),
         )
-        for phone_id, log in sorted(dataset.logs.items())
+        for phone_id, partial in ordered
     ]
+    enrolments = [partial["enroll"] for _pid, partial in ordered]
 
     chi_square, dof, p_value = _homogeneity_test(phones)
     return VariabilityStats(
@@ -120,8 +123,8 @@ def compute_variability(
         chi_square=chi_square,
         degrees_of_freedom=dof,
         p_value=p_value,
-        by_os_version=_group_rates(dataset, phones, "os_version"),
-        by_region=_group_rates(dataset, phones, "region"),
+        by_os_version=_group_rates(phones, enrolments, 0),
+        by_region=_group_rates(phones, enrolments, 1),
     )
 
 
@@ -148,12 +151,12 @@ def _homogeneity_test(phones: List[PhoneRate]):
 
 
 def _group_rates(
-    dataset: Dataset, phones: List[PhoneRate], attribute: str
+    phones: List[PhoneRate], enrolments: List[object], field: int
 ) -> List[GroupRate]:
+    """Pooled rates by one enrolment field (0: OS version, 1: region)."""
     groups: Dict[str, List[PhoneRate]] = {}
-    for phone in phones:
-        enroll = dataset.logs[phone.phone_id].enroll
-        label = getattr(enroll, attribute) if enroll is not None else "unknown"
+    for phone, enroll in zip(phones, enrolments):
+        label = enroll[field] if enroll is not None else "unknown"
         groups.setdefault(label, []).append(phone)
     out = [
         GroupRate(

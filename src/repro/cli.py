@@ -25,8 +25,9 @@ Nine subcommands cover the whole study:
   that certifies the pipeline degrades gracefully;
 * ``megafleet`` — run one large campaign as K deterministic
   per-phone-range shards with streaming merge: peak memory is bounded
-  by the largest shard, and the merged summary is bit-identical to the
-  monolithic run (``--verify`` proves it in-process).  ``--cache DIR``
+  by the largest shard, and the merged report is the one ``campaign``
+  prints, its summary bit-identical to the monolithic run (``--verify``
+  proves it in-process).  ``--cache DIR``
   is the run directory: shards are committed there, and a rerun (after
   a ``kill -9`` or not) adopts every committed shard of the same
   campaign and computes only the rest.  ``--live`` streams worker
@@ -880,18 +881,16 @@ def _cmd_megafleet(args: argparse.Namespace) -> int:
             f"largest child "
             f"{report['max_rss_kb']['children'] / 1024:.0f} MiB",
             f"quarantined:     {result.ingest.quarantined} lines",
+            "",
+            result.report.render(),
         ]
-        for key, value in report["headline"].items():
-            rendered = (
-                f"{value:.2f}" if isinstance(value, float) else str(value)
-            )
-            lines.append(f"{key}: {rendered}")
         if args.cache:
             resumed = result.stats.resumed_shards
-            lines.append(
+            lines += [
+                "",
                 f"run dir {args.cache}: {resumed} shards resumed, "
-                f"{result.shard_count - resumed} executed"
-            )
+                f"{result.shard_count - resumed} executed",
+            ]
         print("\n".join(lines))
     if args.output:
         _write_json(args.output, report)

@@ -18,16 +18,21 @@ queue.  A task is keyed ``(campaign position, phone range)``.
 * **One retry/watchdog policy.**  The coordinator owns every retry.  A
   task gets ``1 + retries`` attempts against its own failures (an
   exception, or a hang reclaimed by the per-task watchdog); a worker
-  that dies mid-task (``kill -9``, OOM) is detected by liveness polling,
-  respawned, and its task re-dispatched at least once, so a single kill
-  never takes a run down.  Each dispatch carries its attempt number.
+  that dies mid-task (``kill -9``, OOM) is seen at once (EOF on its
+  result pipe or its process sentinel, both of which the coordinator
+  blocks on), respawned, and its task re-dispatched at least once, so
+  a single kill never takes a run down.  Each dispatch carries its
+  attempt number.
 * **Durable commit.**  Workers commit each result to the run
   directory's :class:`~repro.experiments.cache.CampaignCache` (atomic
   temp file + rename) *before* acknowledging it — the property that
   makes every run resumable after ``kill -9`` of the whole process
-  tree — and only a tiny acknowledgement crosses the queue, keeping the
-  parent's memory flat in task count.  Results never travel in memory:
-  readers go through the committed-shard ledger.
+  tree — and only a tiny acknowledgement crosses the worker's own
+  result pipe, keeping the parent's memory flat in task count.  Each
+  result pipe has one writer, so a worker killed mid-send tears only
+  its own channel, never another worker's acknowledgement.  Results
+  never travel in memory: readers go through the committed-shard
+  ledger.
 * **In-process path.**  With ``workers == 1``, or where worker
   processes cannot start (sandboxes, restricted interpreters), the same
   tasks run in the calling process with the same retry and commit
@@ -63,8 +68,9 @@ DEFAULT_MIN_SPLIT_PHONES = 32
 #: run always has a few chunks per worker to balance over.
 OVERSUBSCRIBE = 4
 
-#: Coordinator poll interval (seconds) while waiting for worker acks;
-#: bounds how quickly dead workers and watchdog deadlines are noticed.
+#: Longest coordinator wait (seconds) between live-plane ticks; without
+#: the live plane the coordinator blocks until a worker answers or
+#: dies, or a watchdog deadline passes.
 POLL_INTERVAL = 0.05
 
 #: Worker respawns allowed per run (dead or hung workers), per worker.
@@ -244,27 +250,28 @@ def _attempt(
     commits.put(config, result)
 
 
-def _worker_main(wid, task, commit_dir, inbox, outbox):
+def _worker_main(task, commit_dir, inbox, results):
     """Worker loop: pull a task, run it, commit, acknowledge.
 
     The result is durably written to the run directory *before* the
     acknowledgement is sent — the coordinator never learns of a shard
-    that is not already safe on disk — and never crosses the queue.
-    Module-level so it pickles under any start method.
+    that is not already safe on disk — and never crosses the pipe.
+    ``results`` is this worker's own pipe, written by nobody else, so
+    a worker killed mid-send tears only its own channel.  Module-level
+    so it pickles under any start method.
     """
     commits = CampaignCache(commit_dir)
-    outbox.put(("ready", wid, None, None))
     while True:
-        message = inbox.get()
+        message = inbox.recv()
         if message[0] == "stop":
             return
-        _kind, task_id, config, attempt = message
+        _kind, config, attempt = message
         try:
             _attempt(task, config, attempt, commits)
         except Exception as exc:
-            outbox.put(("error", wid, task_id, format_failure(exc)))
+            results.send(("error", format_failure(exc)))
         else:
-            outbox.put(("done", wid, task_id, None))
+            results.send(("done", None))
 
 
 class _QueueStartupError(RuntimeError):
@@ -331,7 +338,8 @@ class WorkQueueExecutor:
     """Coordinator-scheduled worker processes with work stealing.
 
     The coordinator owns the pending task list and dispatches one task
-    per idle worker; workers acknowledge over a shared upstream queue.
+    per idle worker over its task pipe; each worker acknowledges over
+    its own result pipe.
     See the module docstring for balance, stealing, the retry policy,
     durable commits, and the in-process path.
     """
@@ -472,36 +480,53 @@ class WorkQueueExecutor:
         tel: Telemetry,
     ) -> RunOutcome:
         import multiprocessing
-        from queue import Empty
+        from multiprocessing.connection import wait
 
         context = multiprocessing.get_context()
         outcome = RunOutcome(watchdog=timeout)
         pending: List[Tuple[TaskKey, CampaignConfig]] = list(items)
-        inboxes: Dict[int, Any] = {}
+        #: Per worker: its process, its task pipe and its result pipe.
         processes: Dict[int, Any] = {}
+        inboxes: Dict[int, Any] = {}
+        results: Dict[int, Any] = {}
 
         def spawn(wid: int) -> None:
-            inboxes[wid] = context.Queue()
+            inbox_reader, inbox = context.Pipe(duplex=False)
+            reader, writer = context.Pipe(duplex=False)
             proc = context.Process(
                 target=_worker_main,
-                args=(wid, task, commit_dir, inboxes[wid], outbox),
+                args=(task, commit_dir, inbox_reader, writer),
                 daemon=True,
             )
-            proc.start()
-            processes[wid] = proc
+            try:
+                proc.start()
+            finally:
+                # The worker holds the only other ends: its death is
+                # EOF on ``reader`` and a broken pipe on ``inbox``.
+                inbox_reader.close()
+                writer.close()
+            processes[wid], inboxes[wid], results[wid] = proc, inbox, reader
+
+        def forget(wid: int) -> None:
+            processes.pop(wid, None)
+            for channels in (inboxes, results):
+                conn = channels.pop(wid, None)
+                if conn is not None:
+                    conn.close()
 
         worker_count = min(self.workers, len(pending))
         try:
-            outbox = context.Queue()
             for wid in range(worker_count):
                 spawn(wid)
         except Exception:
             for proc in processes.values():
                 proc.kill()
+            for wid in list(processes):
+                forget(wid)
             raise _QueueStartupError("worker processes could not start")
 
         inflight: Dict[int, _InFlight] = {}
-        idle: List[int] = []
+        idle: List[int] = list(range(worker_count))
         #: Dispatches so far per key — the next attempt number.
         dispatches: Dict[TaskKey, int] = {}
         #: Failed attempts per key that count against ``retries``.
@@ -547,8 +572,11 @@ class WorkQueueExecutor:
                     )
             attempt = dispatches.get(key, 0)
             dispatches[key] = attempt + 1
-            inboxes[wid].put(("task", key, config, attempt))
             inflight[wid] = _InFlight(key, config, perf_counter())
+            try:
+                inboxes[wid].send(("task", config, attempt))
+            except OSError:
+                pass  # the worker is dead: its death requeues the task
 
         def requeue(wid: int, reason: str, info: FailureInfo) -> None:
             """A worker lost its task; retry it or record the failure."""
@@ -579,8 +607,9 @@ class WorkQueueExecutor:
 
         def respawn(dead_wid: int) -> None:
             nonlocal restarts_left, next_wid
-            processes.pop(dead_wid, None)
-            inboxes.pop(dead_wid, None)
+            forget(dead_wid)
+            if dead_wid in idle:
+                idle.remove(dead_wid)
             if restarts_left <= 0 or not (pending or inflight):
                 return
             if processes and len(processes) >= len(pending) + len(inflight):
@@ -598,7 +627,57 @@ class WorkQueueExecutor:
             try:
                 spawn(wid)
             except Exception:
-                inboxes.pop(wid, None)
+                return
+            idle.append(wid)
+
+        def died(wid: int) -> None:
+            """A worker's pipe hit EOF or its process exited."""
+            flight = inflight.get(wid)
+            if flight is not None:
+                requeue(
+                    wid,
+                    "died",
+                    (
+                        "WorkerDied",
+                        f"worker exited mid-task (phones "
+                        f"{flight.config.fleet.phone_range!r})",
+                        "",
+                    ),
+                )
+            respawn(wid)
+
+        def receive(wid: int) -> None:
+            """Handle every acknowledgement waiting on a worker's pipe;
+            EOF or a torn message there is the worker's death."""
+            reader = results[wid]
+            while reader.poll():
+                try:
+                    kind, payload = reader.recv()
+                except (EOFError, OSError):
+                    died(wid)
+                    return
+                if kind == "done":
+                    flight = inflight.pop(wid)
+                    outcome.walls.setdefault(flight.key, []).append(
+                        perf_counter() - flight.started_at
+                    )
+                    outcome.completed[flight.key] = flight.config
+                    if on_done is not None:
+                        on_done(flight.key, flight.config)
+                elif kind == "error":
+                    requeue(wid, "error", payload)
+                idle.append(wid)
+
+        def wait_timeout() -> Optional[float]:
+            """Block until the next watchdog deadline or live tick;
+            with neither, until a worker answers or dies."""
+            bounds = []
+            if timeout is not None and inflight:
+                first = min(f.started_at for f in inflight.values())
+                bounds.append(max(0.0, first + timeout - perf_counter()))
+            if live is not None:
+                bounds.append(POLL_INTERVAL)
+            return min(bounds) if bounds else None
 
         try:
             while pending or inflight:
@@ -629,82 +708,53 @@ class WorkQueueExecutor:
                         inflight=len(inflight),
                         workers=len(processes),
                     )
-                try:
-                    kind, wid, _task_id, payload = outbox.get(
-                        timeout=POLL_INTERVAL
+                owners = {results[wid]: wid for wid in processes}
+                owners.update(
+                    {proc.sentinel: wid for wid, proc in processes.items()}
+                )
+                for ready in wait(list(owners), timeout=wait_timeout()):
+                    wid = owners[ready]
+                    if wid not in processes:
+                        continue  # already handled this round
+                    receive(wid)
+                    if wid in processes and ready == processes[wid].sentinel:
+                        died(wid)
+                now = perf_counter()
+                for wid, flight in list(inflight.items()):
+                    if timeout is None or now - flight.started_at <= timeout:
+                        continue
+                    self.stats.watchdog_fires += 1
+                    tel.instant(
+                        "watchdog fire",
+                        category="executor",
+                        track="executor",
+                        key=str(flight.key),
                     )
-                except Empty:
-                    now = perf_counter()
-                    for wid in list(inflight):
-                        proc = processes.get(wid)
-                        flight = inflight[wid]
-                        if proc is None or not proc.is_alive():
-                            requeue(
-                                wid,
-                                "died",
-                                (
-                                    "WorkerDied",
-                                    f"worker exited mid-task (phones "
-                                    f"{flight.config.fleet.phone_range!r})",
-                                    "",
-                                ),
-                            )
-                            respawn(wid)
-                        elif (
-                            timeout is not None
-                            and now - flight.started_at > timeout
-                        ):
-                            self.stats.watchdog_fires += 1
-                            tel.instant(
-                                "watchdog fire",
-                                category="executor",
-                                track="executor",
-                                key=str(flight.key),
-                            )
-                            proc.kill()
-                            proc.join(timeout=1.0)
-                            requeue(
-                                wid,
-                                "timeout",
-                                (
-                                    "WorkerTimeout",
-                                    f"no result within {timeout}s "
-                                    f"(hung worker)",
-                                    "",
-                                ),
-                            )
-                            respawn(wid)
-                    for wid in [w for w in idle if not processes.get(w) or not processes[w].is_alive()]:
-                        idle.remove(wid)
-                        respawn(wid)
-                    continue
-                if wid not in processes:
-                    continue  # a reclaimed worker's late message
-                if kind == "done":
-                    flight = inflight.pop(wid)
-                    outcome.walls.setdefault(flight.key, []).append(
-                        perf_counter() - flight.started_at
+                    processes[wid].kill()
+                    processes[wid].join(timeout=1.0)
+                    requeue(
+                        wid,
+                        "timeout",
+                        (
+                            "WorkerTimeout",
+                            f"no result within {timeout}s (hung worker)",
+                            "",
+                        ),
                     )
-                    outcome.completed[flight.key] = flight.config
-                    if on_done is not None:
-                        on_done(flight.key, flight.config)
-                elif kind == "error":
-                    requeue(wid, "error", payload)
-                if pending:
-                    dispatch(wid)
-                else:
-                    idle.append(wid)
+                    respawn(wid)
         finally:
-            for wid in processes:
+            for inbox in inboxes.values():
                 try:
-                    inboxes[wid].put(("stop",))
-                except Exception:
+                    inbox.send(("stop",))
+                except OSError:
                     pass
             for proc in processes.values():
                 proc.join(timeout=2.0)
                 if proc.is_alive():
                     proc.kill()
                     proc.join(timeout=1.0)
+            for wid in list(processes):
+                forget(wid)
         return outcome
 
 

@@ -65,9 +65,10 @@ from typing import (
 
 from repro.analysis.bursts import DEFAULT_BURST_GAP
 from repro.analysis.ingest import IngestReport
+from repro.analysis.report import ReproductionReport
 from repro.analysis.shutdowns import SELF_SHUTDOWN_THRESHOLD
 from repro.analysis.streaming import CampaignAccumulator
-from repro.experiments.cache import CampaignCache
+from repro.experiments.cache import CampaignCache, read_commit
 from repro.experiments.campaign import simulate_and_ingest
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executors import (
@@ -76,7 +77,7 @@ from repro.experiments.executors import (
     WorkQueueExecutor,
     resolve_executor,
 )
-from repro.experiments.summary import SUMMARY_FORMAT_VERSION, CampaignSummary
+from repro.experiments.summary import CampaignSummary
 from repro.observability.metrics import merge_registries
 from repro.observability.telemetry import (
     TELEMETRY_METRICS,
@@ -426,18 +427,11 @@ def load_shard_file(path: str) -> ShardResult:
     """Read one committed shard file back from disk.
 
     Raises :class:`ValueError` (with the path) on anything untrusted:
-    unreadable bytes, a foreign or stale entry, a truncated payload.
+    unreadable bytes, a checksum mismatch, a foreign or stale entry, a
+    truncated payload.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-        if not isinstance(entry, dict):
-            raise ValueError("entry is not an object")
-        if entry.get("format_version") != SUMMARY_FORMAT_VERSION:
-            raise ValueError(
-                f"commit envelope format {entry.get('format_version')!r}"
-            )
-        return ShardResult.from_dict(entry["summary"])
+        return ShardResult.from_dict(read_commit(path)["summary"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"unreadable shard file {path!r}: {exc}") from None
 
@@ -622,6 +616,9 @@ class MegafleetResult:
     """What one sharded campaign produced, beyond the summary itself."""
 
     summary: CampaignSummary
+    #: The report finalized from the merged partials; the summary's
+    #: sections are its ``to_dict()``, as in a monolithic run.
+    report: ReproductionReport
     #: The shard tiling actually executed (finer than the plan when
     #: work stealing split a long-tailed range), in phone-index order.
     shard_ranges: List[Tuple[int, int]]
@@ -704,14 +701,16 @@ def _merge_stream(
             ).to_dict(),
             "spans": [],
         }
+    report = ReproductionReport.from_accumulator(accumulator)
     summary = CampaignSummary(
         config=config.to_dict(),
         ground_truth=ground_truth,
-        sections=accumulator.sections(),
+        sections=report.to_dict(),
         telemetry=telemetry,
     )
     return MegafleetResult(
         summary=summary,
+        report=report,
         shard_ranges=ranges,
         ingest=ingest,
         events_fired=events,

@@ -141,3 +141,19 @@ def random_fleet_records(
             rng, end_time, phone_id=phone_id
         )
     return records_by_phone
+
+
+def reseal_commit(path: str, edit) -> None:
+    """Apply ``edit`` to a committed shard file's envelope in place and
+    write it back with a valid checksum, so a test reaches the ledger
+    checks behind the checksum."""
+    import json
+
+    from repro.experiments.cache import write_commit
+
+    with open(path, "r", encoding="utf-8") as handle:
+        envelope = json.load(handle)
+    del envelope["sha256"]
+    edit(envelope)
+    with open(path, "wb") as handle:
+        write_commit(handle, envelope)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.availability import availability_from_observations
 from repro.analysis.report import build_report
-from repro.analysis.shutdowns import compute_shutdown_study
 from repro.core.clock import HOUR
 from repro.core.records import BootRecord, PanicRecord
 from repro.symbian.panics import PanicId
@@ -86,7 +85,7 @@ class TestAvailability:
     def test_accepts_precomputed_study(self):
         records = [boot(0.0, "NONE", 0.0), boot(10 * HOUR, "ALIVE", 9 * HOUR)]
         dataset = dataset_from_records({"p": records}, end_time=100 * HOUR)
-        study = compute_shutdown_study(dataset)
+        study = build_report(dataset).study
         observed = {"p": dataset.logs["p"].observed_hours(dataset.end_time)}
         stats = availability_from_observations(observed, study)
         assert stats.freeze_count == 1

@@ -14,7 +14,7 @@ from repro.analysis.coalescence import (
     hl_events_from_study,
     window_sweep,
 )
-from repro.analysis.shutdowns import compute_shutdown_study
+from repro.analysis.report import build_report
 from repro.analysis.streaming import CampaignAccumulator
 from repro.core.errors import AnalysisError
 from repro.core.records import BootRecord, PanicRecord
@@ -199,7 +199,7 @@ class TestHlEventsFromStudy:
             boot(40000.0, "REBOOT", 10000.0),  # user shutdown (long)
         ]
         dataset = dataset_from_records({"p": records}, end_time=1e5)
-        return compute_shutdown_study(dataset)
+        return build_report(dataset).study
 
     def test_default_excludes_user_shutdowns(self):
         events = hl_events_from_study(self.make_study())

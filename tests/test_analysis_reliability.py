@@ -115,20 +115,20 @@ class TestOnRealCampaign:
     def test_shapes_near_one(self, paper_campaign):
         """The campaign's failure process is memoryless-dominated: the
         fitted Weibull shape must sit near 1 for every event kind."""
-        rel = compute_reliability(paper_campaign.dataset, paper_campaign.report.study)
+        rel = compute_reliability(paper_campaign.report.study)
         for kind in ("freeze", "self_shutdown", "combined"):
             stats = rel[kind]
             assert stats.sample_size > 100
             assert 0.8 < stats.weibull_shape < 1.25
 
     def test_exponential_not_rejected(self, paper_campaign):
-        rel = compute_reliability(paper_campaign.dataset, paper_campaign.report.study)
+        rel = compute_reliability(paper_campaign.report.study)
         assert rel["combined"].exponential.ks_pvalue > 0.01
 
     def test_combined_mean_consistent_with_mtbf(self, paper_campaign):
         """Interval mean ~ pooled MTBF (they differ by censoring: the
         open interval at each phone's end is not an observed gap)."""
-        rel = compute_reliability(paper_campaign.dataset, paper_campaign.report.study)
+        rel = compute_reliability(paper_campaign.report.study)
         availability = paper_campaign.report.availability
         pooled = availability.observed_hours_total / (
             availability.freeze_count + availability.self_shutdown_count

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.analysis.shutdowns import (
-    SELF_SHUTDOWN_THRESHOLD,
-    compute_shutdown_study,
-)
+from repro.analysis.report import build_report
+from repro.analysis.shutdowns import SELF_SHUTDOWN_THRESHOLD
 from repro.core.records import BootRecord
 from tests.helpers import dataset_from_records
 
@@ -16,7 +14,7 @@ def boot(time, kind, beat_time):
 
 def study_of(records, end_time=100000.0):
     dataset = dataset_from_records({"phone-00": records}, end_time=end_time)
-    return compute_shutdown_study(dataset)
+    return build_report(dataset).study
 
 
 class TestClassification:
@@ -73,7 +71,7 @@ class TestClassification:
             },
             end_time=1000,
         )
-        study = compute_shutdown_study(dataset)
+        study = build_report(dataset).study
         assert [f.detected_at for f in study.freezes] == [300.0, 500.0]
 
     def test_freezes_by_phone(self):
@@ -84,7 +82,7 @@ class TestClassification:
             },
             end_time=1000,
         )
-        study = compute_shutdown_study(dataset)
+        study = build_report(dataset).study
         assert study.freezes_by_phone() == {"a": 1}
 
 

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.analysis.shutdowns import compute_shutdown_study
+from repro.analysis.ingest import Dataset
+from repro.analysis.report import build_report
 from repro.analysis.variability import PhoneRate, compute_variability
 from repro.core.clock import HOUR
 from repro.core.records import BootRecord, EnrollRecord
+from repro.logger.logfile import serialize_record
 from tests.helpers import dataset_from_records
 
 
@@ -42,8 +44,8 @@ class TestVariability:
             recs = phone_records(os_version, region, freeze_times)
             records[phone_id] = recs
         dataset = dataset_from_records(records, end_time=end_hours * HOUR)
-        study = compute_shutdown_study(dataset)
-        return compute_variability(dataset, study)
+        report = build_report(dataset)
+        return compute_variability(report.accumulator, report.study)
 
     def test_per_phone_counts(self):
         stats = self.make({"a": ("8.0", "Italy", 3), "b": ("8.0", "USA", 1)})
@@ -88,6 +90,27 @@ class TestVariability:
         stats = self.make({"a": ("8.0", "Italy", 8), "b": ("8.0", "USA", 2)})
         assert stats.min_max_rate_ratio == pytest.approx(4.0)
 
+    def test_quarantined_enroll_line_groups_as_unknown(self):
+        """A phone whose ENROLL line was garbled in transit has no
+        enrolment in its partial and pools under ``unknown``."""
+        lines = {
+            phone_id: [
+                serialize_record(record)
+                for record in phone_records("8.0", "Italy", [36000.0])
+            ]
+            for phone_id in ("a", "b")
+        }
+        lines["b"][0] = lines["b"][0].replace("ENROLL", "ENR#LL", 1)
+        dataset = Dataset.from_lines(lines, end_time=1000 * HOUR)
+        assert dataset.ingest_report.by_phone == {"b": 1}
+        report = build_report(dataset)
+        assert report.accumulator.phones["b"]["enroll"] is None
+        stats = compute_variability(report.accumulator, report.study)
+        for groups in (stats.by_os_version, stats.by_region):
+            by_label = {g.label: g.phone_count for g in groups}
+            assert by_label["unknown"] == 1
+        assert {g.label for g in stats.by_region} == {"Italy", "unknown"}
+
     def test_no_failures_degenerate(self):
         stats = self.make({"a": ("8.0", "Italy", 0), "b": ("8.0", "USA", 0)})
         assert stats.p_value == 1.0
@@ -104,9 +127,8 @@ class TestOnRealCampaign:
         25-phone study carry little signal either way."""
         from repro.analysis.variability import compute_variability
 
-        stats = compute_variability(
-            paper_campaign.dataset, paper_campaign.report.study
-        )
+        report = paper_campaign.report
+        stats = compute_variability(report.accumulator, report.study)
         assert len(stats.phones) == 25
         # No pathological outliers: chi-square within a small multiple
         # of its dof, rate spread within an order of magnitude.
@@ -116,9 +138,8 @@ class TestOnRealCampaign:
     def test_groups_cover_all_phones(self, paper_campaign):
         from repro.analysis.variability import compute_variability
 
-        stats = compute_variability(
-            paper_campaign.dataset, paper_campaign.report.study
-        )
+        report = paper_campaign.report
+        stats = compute_variability(report.accumulator, report.study)
         assert sum(g.phone_count for g in stats.by_os_version) == 25
         assert sum(g.phone_count for g in stats.by_region) == 25
         assert {g.label for g in stats.by_region} <= {"Italy", "USA"}

@@ -113,6 +113,20 @@ class TestCli:
         assert "Headline findings" in out
         assert "MTBFr" in out
 
+    def test_megafleet_prints_the_campaign_report(self, capsys):
+        """A sharded run merges its partials into the report ``campaign``
+        prints for the same config: after the run lines and a blank
+        line, the text is that report byte for byte."""
+        config = ["--phones", "4", "--months", "0.5", "--seed", "9"]
+        assert main(["campaign", *config]) == 0
+        campaign = capsys.readouterr().out
+        sharded = ["--shards", "3", "--workers", "1"]
+        assert main(["megafleet", *config, *sharded]) == 0
+        megafleet = capsys.readouterr().out
+        run_lines, _blank, report = megafleet.partition("\n\n")
+        assert run_lines.startswith("Mega-fleet: 4 phones")
+        assert report == campaign
+
     def test_campaign_export_then_analyze(self, tmp_path, capsys):
         export_dir = str(tmp_path / "logs")
         assert (

@@ -10,10 +10,13 @@ coordinator's healing when a worker process is killed outright.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
+import pickle
 import signal
+import struct
 import time
 
 import pytest
@@ -333,6 +336,64 @@ def test_workqueue_heals_killed_worker(tmp_path):
     assert json.dumps(merged.summary.to_dict(), sort_keys=True) == canonical(
         mono
     )
+
+
+@contextlib.contextmanager
+def hard_timeout(seconds: int):
+    """Raise ``TimeoutError`` in the test if the block outlives
+    ``seconds`` (SIGALRM interrupts even a blocking pipe read)."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_worker_killed_mid_acknowledgement(tmp_path, monkeypatch):
+    """SIGKILL a worker halfway through writing its first ``done``
+    acknowledgement, with no watchdog armed.  The torn message is that
+    worker's death: its shard is re-dispatched, the other worker's
+    acknowledgements still arrive, the run completes, and no worker
+    outlives it."""
+    if not _processes_work():
+        pytest.skip("multiprocessing unavailable in this environment")
+    from multiprocessing.connection import Connection
+
+    parent_pid = os.getpid()
+    flag = tmp_path / "torn.flag"
+    send_bytes = Connection._send_bytes
+
+    def torn_send(self, buf):
+        if (
+            os.getpid() != parent_pid
+            and not flag.exists()
+            and pickle.loads(bytes(buf))[0] == "done"
+        ):
+            flag.write_text("killed mid-send\n")
+            whole = struct.pack("!i", len(buf)) + bytes(buf)
+            self._send(whole[: len(whole) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+        return send_bytes(self, buf)
+
+    # Workers fork from this process, so they inherit the patch.
+    monkeypatch.setattr(Connection, "_send_bytes", torn_send)
+    config = small_campaign(phones=12)
+    plan = plan_shards(config, 4)
+    backend = WorkQueueExecutor(2, steal=False)
+    with hard_timeout(120):
+        completed = execute(backend, plan, ShardTask(), str(tmp_path / "c"))
+    assert flag.exists(), "no acknowledgement was torn"
+    assert backend.stats.task_retries >= 1
+    assert sorted(rng for rng, _cfg in completed) == sorted(
+        c.fleet.phone_range for c in plan
+    )
+    assert multiprocessing.active_children() == []
 
 
 class HangOnce(ShardTask):

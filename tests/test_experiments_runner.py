@@ -6,6 +6,7 @@ a rerun on the same run directory must not execute anything, and a
 poisoned worker must surface its seed in the raised error.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -13,7 +14,12 @@ import time
 import pytest
 
 from repro.core.clock import MONTH
-from repro.experiments.cache import CampaignCache, campaign_cache_key
+from repro.core.rand import Stream
+from repro.experiments.cache import (
+    COMMIT_FORMAT_VERSION,
+    CampaignCache,
+    campaign_cache_key,
+)
 from repro.experiments.config import CampaignConfig
 from repro.experiments.runner import (
     CampaignExecutionError,
@@ -34,6 +40,8 @@ from repro.experiments.summary import (
     CampaignSummary,
 )
 from repro.phone.fleet import FleetConfig
+from repro.robustness.injectors import corrupt_cache_entry
+from tests.helpers import reseal_commit
 
 SEEDS = [7, 8, 9]
 
@@ -396,19 +404,24 @@ class TestCache:
         assert load_shard_file(path).to_dict() == result.to_dict()
 
     def test_put_commits_the_json_dumps_text(self, tmp_path):
-        """A commit is one ``json.dumps`` of the entry (the C encoder),
-        byte for byte; shard results are committed through ``put`` too."""
+        """A commit is one ``json.dumps`` of the envelope (the C
+        encoder), byte for byte, led by the SHA-256 of the bytes after
+        the digest; shard results are committed through ``put`` too."""
         cache = CampaignCache(str(tmp_path))
         config = plan_shards(tiny_config(7), 3)[0]
         result = ShardTask()(config)
         path = cache.put(config, result)
-        entry = {
-            "key": campaign_cache_key(config),
-            "format_version": SUMMARY_FORMAT_VERSION,
-            "summary": result.to_dict(),
-        }
+        envelope = json.dumps(
+            {
+                "key": campaign_cache_key(config),
+                "format_version": COMMIT_FORMAT_VERSION,
+                "summary": result.to_dict(),
+            }
+        )
+        body = ", " + envelope[1:]
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
         with open(path, encoding="utf-8") as handle:
-            assert handle.read() == json.dumps(entry)
+            assert handle.read() == '{"sha256": "' + digest + '"' + body
 
     def test_key_depends_on_seed_and_config(self):
         base = campaign_cache_key(tiny_config(7))
@@ -486,12 +499,66 @@ class TestCache:
         cache = CampaignCache(str(tmp_path))
         config = whole(tiny_config(7))
         path = cache.put(config, ShardTask()(config))
+        reseal_commit(
+            path,
+            lambda entry: entry.update(format_version=COMMIT_FORMAT_VERSION + 1),
+        )
+        assert scan_committed_shards(cache, tiny_config(7)) == []
+
+    def test_no_garbled_commit_is_adopted(self, tmp_path):
+        """One garbled character anywhere in a commit — inside a JSON
+        string, the envelope ``key`` or the digest itself — fails the
+        checksum, over 400 seeds of the injector; the rerun recomputes
+        the range and merges the clean run's summary."""
+        config = CampaignConfig.tiny()
+        clean = run_campaigns([config], run_dir=str(tmp_path))
+        cache = CampaignCache(str(tmp_path))
+        path = cache.path_for(whole(config))
+        with open(path, "rb") as handle:
+            pristine = handle.read()
+        garbled = 0
+        for seed in range(400):
+            with open(path, "wb") as handle:
+                handle.write(pristine)
+            corrupt_cache_entry(cache, whole(config), Stream(seed))
+            with open(path, "rb") as handle:
+                if handle.read() == pristine:
+                    continue  # the garble hit a '#' already there
+            garbled += 1
+            assert scan_committed_shards(cache, config) == [], seed
+        assert garbled == 400
+        rerun = run_campaigns_resilient([config], run_dir=str(tmp_path))
+        assert rerun.resumed == 0
+        assert [s.to_dict() for s in rerun.summaries_or_raise()] == [
+            s.to_dict() for s in clean
+        ]
+        assert load_shard_file(path).phone_range == (0, 3)
+
+    def test_pre_checksum_commit_is_recomputed_in_place(self, tmp_path):
+        """A commit written before the checksum (envelope v2, partials
+        of accumulator format 2 without ``enroll``) is not adopted; the
+        rerun writes the current commit over it at the same path."""
+        configs = [tiny_config(7)]
+        first = run_campaigns(configs, run_dir=str(tmp_path))
+        path = CampaignCache(str(tmp_path)).path_for(whole(configs[0]))
         with open(path, "r", encoding="utf-8") as handle:
             entry = json.load(handle)
-        entry["format_version"] = SUMMARY_FORMAT_VERSION + 1
+        del entry["sha256"]
+        entry["format_version"] = 2
+        accumulator = entry["summary"]["accumulator"]
+        accumulator["format_version"] = 2
+        for partial in accumulator["phones"].values():
+            del partial["enroll"]
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle)
-        assert scan_committed_shards(cache, tiny_config(7)) == []
+            handle.write(json.dumps(entry))
+        commits = CampaignCache(str(tmp_path))
+        assert scan_committed_shards(commits, configs[0]) == []
+        second = run_campaigns_resilient(configs, run_dir=str(tmp_path))
+        assert second.resumed == 0
+        assert second.summaries_or_raise()[0].to_dict() == first[0].to_dict()
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+        revived = load_shard_file(path).accumulator
+        assert all("enroll" in part for part in revived.phones.values())
 
     def test_garbled_partial_key_is_miss(self, tmp_path):
         """A commit that still parses but whose phone partial lost a key
@@ -500,8 +567,12 @@ class TestCache:
         config = whole(tiny_config(7))
         path = cache.put(config, ShardTask()(config))
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        assert text.count('"report_kinds"') == 3
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text.replace('"report_kinds"', '"rep#rt_kinds"', 1))
+            assert handle.read().count('"report_kinds"') == 3
+
+        def garble(entry):
+            phones = entry["summary"]["accumulator"]["phones"]
+            partial = phones[min(phones)]
+            partial["rep#rt_kinds"] = partial.pop("report_kinds")
+
+        reseal_commit(path, garble)
         assert scan_committed_shards(cache, tiny_config(7)) == []

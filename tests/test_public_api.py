@@ -128,6 +128,7 @@ def test_analysis_exports_one_report_path():
         "compute_activity_table",
         "compute_running_apps",
         "compute_output_failures",
+        "compute_shutdown_study",
     ):
         assert name not in analysis.__all__
         assert not hasattr(analysis, name)

@@ -35,15 +35,12 @@ from repro.experiments.shard import (
     plan_shards,
     run_sharded_campaign,
 )
-from repro.experiments.summary import (
-    SUMMARY_FORMAT_VERSION,
-    CampaignSummary,
-    headline_figures,
-)
+from repro.experiments.summary import CampaignSummary, headline_figures
 from repro.observability.telemetry import TELEMETRY_METRICS, Telemetry
 from repro.phone.fleet import FleetConfig
 from repro.robustness.experiment import run_faulty_campaign
 from repro.robustness.plan import FaultPlan
+from tests.helpers import reseal_commit
 
 
 def make_config(seed: int = 4242) -> CampaignConfig:
@@ -67,9 +64,15 @@ def config() -> CampaignConfig:
 
 
 @pytest.fixture(scope="module")
-def monolithic(config) -> CampaignSummary:
-    """The batch-pipeline baseline, computed once for the module."""
-    return CampaignSummary.from_result(run_campaign(config))
+def monolithic_result(config):
+    """The batch-pipeline run, computed once for the module."""
+    return run_campaign(config)
+
+
+@pytest.fixture(scope="module")
+def monolithic(monolithic_result) -> CampaignSummary:
+    """The batch-pipeline baseline summary."""
+    return CampaignSummary.from_result(monolithic_result)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +113,23 @@ def test_sharded_summary_is_bit_identical(
     assert result.shard_count == shards
     starts = [start for start, _stop in result.shard_ranges]
     assert starts == sorted(starts)
+
+
+@pytest.mark.parametrize("shards", [1, 3, 7], ids=lambda k: f"K={k}")
+def test_sharded_extended_report_is_byte_identical(
+    shards, config, monolithic_result
+):
+    """The extension sections (downtime, reliability, variability,
+    trends) read only the per-phone partials, so the merged report of
+    any tiling renders the monolithic ``--extended`` text byte for
+    byte."""
+    result = run_sharded_campaign(config, shards=shards)
+    report = result.report
+    assert report.accumulator == monolithic_result.report.accumulator
+    assert report.to_dict() == result.summary.sections
+    assert report.render_extended() == (
+        monolithic_result.report.render_extended()
+    )
 
 
 def test_worker_process_shards_match_monolithic(config, monolithic):
@@ -411,7 +431,8 @@ def test_corrupt_committed_shard_is_recomputed(tmp_path, config, monolithic):
     summary where a shard result belongs), a shard whose accumulator
     is an older wire format and one whose accumulator was folded with
     another knob than the campaign's are skipped at scan time — their
-    ranges are recomputed, never trusted."""
+    ranges are recomputed, never trusted.  The last three carry valid
+    checksums, so the ledger's own checks are what refuse them."""
     run_sharded_campaign(
         config, shards=4, workers=2, executor="workqueue",
         spill_dir=str(tmp_path),
@@ -424,48 +445,42 @@ def test_corrupt_committed_shard_is_recomputed(tmp_path, config, monolithic):
     with open(torn, "w", encoding="utf-8") as handle:
         handle.write(head)
     foreign = commits.path_for(shard_configs[2])
-    with open(foreign, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "key": os.path.basename(foreign)[: -len(".json")],
-                "format_version": SUMMARY_FORMAT_VERSION,
-                "summary": {"not": "a shard result"},
-            },
-            handle,
-        )
+    reseal_commit(
+        foreign, lambda entry: entry.update(summary={"not": "a shard result"})
+    )
     # A format-1 accumulator: one phone map per report section.
     stale = commits.path_for(shard_configs[3])
     with open(stale, "r", encoding="utf-8") as handle:
-        entry = json.load(handle)
-    accumulator = entry["summary"]["accumulator"]
-    entry["summary"]["accumulator"] = {
-        "format_version": 1,
-        **{
-            knob: accumulator[knob]
-            for knob in ("end_time", "window", "gap", "threshold")
-        },
-        "sections": {
-            "availability": {
-                "phones": {
-                    pid: {
-                        "start_time": part["start_time"],
-                        "records": part["records"],
+        accumulator = json.load(handle)["summary"]["accumulator"]
+
+    def format_1(entry):
+        entry["summary"]["accumulator"] = {
+            "format_version": 1,
+            **{
+                knob: accumulator[knob]
+                for knob in ("end_time", "window", "gap", "threshold")
+            },
+            "sections": {
+                "availability": {
+                    "phones": {
+                        pid: {
+                            "start_time": part["start_time"],
+                            "records": part["records"],
+                        }
+                        for pid, part in accumulator["phones"].items()
                     }
-                    for pid, part in accumulator["phones"].items()
                 }
-            }
-        },
-    }
-    with open(stale, "w", encoding="utf-8") as handle:
-        json.dump(entry, handle)
+            },
+        }
+
+    reseal_commit(stale, format_1)
     # A valid accumulator whose self-shutdown threshold is not the one
     # the campaign folds with: merging it would abort the whole run.
     knob = commits.path_for(shard_configs[0])
-    with open(knob, "r", encoding="utf-8") as handle:
-        entry = json.load(handle)
-    entry["summary"]["accumulator"]["threshold"] = 200.0
-    with open(knob, "w", encoding="utf-8") as handle:
-        json.dump(entry, handle)
+    reseal_commit(
+        knob,
+        lambda entry: entry["summary"]["accumulator"].update(threshold=200.0),
+    )
     resumed = run_sharded_campaign(
         config, shards=4, workers=2, executor="workqueue",
         spill_dir=str(tmp_path),

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.coalescence import coalesce, hl_events_from_study
 from repro.analysis.report import build_report
-from repro.analysis.shutdowns import compute_shutdown_study
 from repro.analysis.streaming import CampaignAccumulator
 from repro.core.errors import AnalysisError
 from tests.helpers import dataset_from_records, random_fleet_records
@@ -165,7 +164,7 @@ def test_per_phone_matching_equals_global_coalescence(seed, phones, window):
         random_fleet_records(seed, phones, END_TIME), END_TIME
     )
     acc = CampaignAccumulator.from_dataset(dataset, window=window)
-    study = compute_shutdown_study(dataset)
+    study = build_report(dataset, window=window).study
 
     def matched_kinds(include_user_shutdowns):
         events = hl_events_from_study(
@@ -194,6 +193,24 @@ def test_from_dict_rejects_unknown_format_version():
         payload["format_version"] = version
         with pytest.raises(AnalysisError, match="format version"):
             CampaignAccumulator.from_dict(payload)
+
+
+def test_from_dict_rejects_a_partial_without_enroll():
+    """A version-3 payload whose partial lacks the enrolment (the
+    extension analyses group phones by it) is refused."""
+    records = random_fleet_records(11, 2, END_TIME)
+    payload = json.loads(
+        json.dumps(
+            CampaignAccumulator.from_dataset(
+                dataset_from_records(records, END_TIME)
+            ).to_dict()
+        )
+    )
+    CampaignAccumulator.from_dict(payload)  # the intact payload loads
+    partial = next(iter(payload["phones"].values()))
+    del partial["enroll"]
+    with pytest.raises(AnalysisError, match="malformed partial"):
+        CampaignAccumulator.from_dict(payload)
 
 
 # -- the laws again, one report section at a time ---------------------------
